@@ -17,15 +17,10 @@ import time
 
 import numpy as np
 
-from autocam360 import _resample_np
+from autocam360 import _resample, _resample_np
 from autocam360.geometry import Direction, Viewport
 from autocam360.renderer import _sample_coords
 from autocam360.synth import ScenarioSpec, synth_panorama
-
-try:
-    from autocam360 import _resample
-except ImportError:
-    _resample = None
 
 
 def workload(out_w: int, out_h: int, frames: int, src_w=1024, src_h=512):
@@ -69,18 +64,20 @@ def main() -> int:
     print(f"  numpy fallback : {t_np:8.3f} s  "
           f"({1e3 * t_np / args.frames:6.2f} ms/frame)")
 
-    if _resample is None:
-        print("  compiled kernel: not built (pip install -e . with a C compiler)")
+    try:
+        compiled = _resample.load_built()
+    except ImportError as exc:
+        print(f"  compiled kernel: {exc} (python setup.py build_ext --inplace with a C compiler)")
         return 0
 
-    t_cy = time_backend(_resample, src, coords)
-    print(f"  compiled kernel: {t_cy:8.3f} s  "
-          f"({1e3 * t_cy / args.frames:6.2f} ms/frame)")
-    print(f"\n  speedup: {t_np / t_cy:.2f}x")
+    t_c = time_backend(compiled, src, coords)
+    print(f"  compiled kernel: {t_c:8.3f} s  "
+          f"({1e3 * t_c / args.frames:6.2f} ms/frame)")
+    print(f"\n  speedup: {t_np / t_c:.2f}x")
 
     xs, ys = coords[0]
     same = np.array_equal(
-        np.asarray(_resample.bilinear_wrap_sample(src, xs, ys)),
+        compiled.bilinear_wrap_sample(src, xs, ys),
         _resample_np.bilinear_wrap_sample(src, xs, ys),
     )
     print(f"  byte-identical outputs: {same}")

@@ -1,25 +1,16 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-# -ffp-contract=off keeps the compiled sampler bit-identical to the NumPy
-# fallback (no FMA contraction of the bilinear blend).
-extensions = [
-    Extension(
-        "autocam360._resample",
-        ["src/autocam360/_resample.pyx"],
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-        optional=True,
-    )
-]
-
+# The sampler is plain C (no Python API) loaded through ctypes by
+# autocam360/_resample.py.  -ffp-contract=off keeps it bit-identical to the
+# NumPy fallback (no FMA contraction of the bilinear blend).  The build is
+# optional: without a C compiler the package uses the NumPy kernel.
 setup(
-    ext_modules=(
-        cythonize(extensions, compiler_directives={"language_level": "3"})
-        if cythonize is not None
-        else []
-    ),
+    ext_modules=[
+        Extension(
+            "autocam360._resample_c",
+            ["src/autocam360/_resample_c.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
+        )
+    ],
 )

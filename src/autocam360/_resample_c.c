@@ -1,0 +1,45 @@
+/* Compiled bilinear equirect sampler: horizontal wrap, vertical clamp.
+ *
+ * Plain C with no Python API; _resample.py loads it through ctypes.  The
+ * arithmetic mirrors _resample_np.bilinear_wrap_sample expression for
+ * expression (the same weights, the same left-to-right float64 sum and
+ * floor(val + 0.5)), and setup.py builds it with -ffp-contract=off so no
+ * FMA contraction changes a rounding: both backends give identical bytes.
+ * Two steps are cheaper forms of the same result: the wrap divides only
+ * when x0 lies outside [0, w), and the non-negative val + 0.5 is floored
+ * by the conversion's truncation.
+ *
+ * src is (h, w, 3) uint8, row-major; xs, ys hold n finite coordinates;
+ * out receives (n, 3) uint8.  h and w must be positive.
+ */
+#include <math.h>
+#include <stdint.h>
+
+void bilinear_wrap_sample(const uint8_t *src, int64_t h, int64_t w,
+                          const double *xs, const double *ys, int64_t n,
+                          uint8_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double sx = xs[i] - 0.5, sy = ys[i] - 0.5;
+        double x0 = floor(sx), y0 = floor(sy);
+        double fx = sx - x0, fy = sy - y0;
+        int64_t ix0 = (int64_t)x0;
+        if (ix0 < 0 || ix0 >= w) {
+            ix0 %= w;
+            if (ix0 < 0)
+                ix0 += w;
+        }
+        int64_t ix1 = ix0 + 1 == w ? 0 : ix0 + 1;
+        int64_t yi = (int64_t)y0;
+        int64_t iy0 = yi < 0 ? 0 : yi > h - 1 ? h - 1 : yi;
+        int64_t iy1 = yi + 1 < 0 ? 0 : yi + 1 > h - 1 ? h - 1 : yi + 1;
+        double w00 = (1.0 - fx) * (1.0 - fy), w10 = fx * (1.0 - fy);
+        double w01 = (1.0 - fx) * fy, w11 = fx * fy;
+        const uint8_t *r0 = src + 3 * w * iy0, *r1 = src + 3 * w * iy1;
+        for (int c = 0; c < 3; c++) {
+            double val = w00 * r0[3 * ix0 + c] + w10 * r0[3 * ix1 + c]
+                         + w01 * r1[3 * ix0 + c] + w11 * r1[3 * ix1 + c];
+            out[3 * i + c] = (uint8_t)(val + 0.5); /* val >= 0: truncation is floor */
+        }
+    }
+}

@@ -308,7 +308,7 @@ def parse_camera_path(document: bytes | str, aspect: float) -> tuple[float, list
     """Read a camera-path file back as (fps, per-frame viewports, shot rows).
 
     `aspect` supplies the output aspect ratio (the file stores only the
-    horizontal FOV).
+    horizontal FOV).  A path with no frames is rejected.
     """
     try:
         data = json.loads(document)
@@ -329,4 +329,6 @@ def parse_camera_path(document: bytes | str, aspect: float) -> tuple[float, list
         shots = list(data.get("shots", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise CameraPathError(f"malformed camera-path document: {exc}") from exc
+    if not frames:
+        raise CameraPathError("camera path has no frames")
     return fps, frames, shots

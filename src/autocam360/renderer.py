@@ -4,11 +4,18 @@ Every output pixel center is unprojected through the viewport onto the
 sphere, mapped to continuous equirect coordinates, and bilinearly sampled
 with horizontal wrap-around at the seam and vertical clamp at the poles.
 
-The per-pixel gather/blend is the hot kernel: a compiled extension is
-used when available, with a pure-NumPy fallback selected at import time.
-Both produce byte-identical frames (see ``benchmarks/bench_resample.py``
-for the speed comparison), and rendering is deterministic regardless of
-pixel iteration order.
+The per-pixel gather/blend is the hot kernel.  A plain-C sampler
+(``_resample_c.c``, built by ``setup.py`` and loaded through ctypes by
+``_resample``) is used when it has been built, with a pure-NumPy fallback
+selected at import time; ``KERNEL_BACKEND`` names the active one ("c" or
+"numpy").  Both produce byte-identical frames (see
+``benchmarks/bench_resample.py`` for the speed comparison), and rendering
+is deterministic regardless of pixel iteration order.
+
+Sample coordinates depend only on the viewport and the frame sizes, so
+:func:`render_sequence` computes them once per run of frames that share
+a viewport, and keeps the per-FOV ray grids for the length of the call.
+Nothing is cached between calls.
 
 Images are PPM "P6" (binary, maxval 255) end to end; video encode/decode
 is left to external tools.
@@ -22,16 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _resample, _resample_np
 from .geometry import TWO_PI, Viewport, _camera_basis
 
 try:
-    from . import _resample as _kernel
+    _kernel = _resample.load_built()
+except ImportError:  # compiled sampler not built
+    _kernel = _resample_np
 
-    KERNEL_BACKEND = "cython"
-except ImportError:  # compiled extension not built
-    from . import _resample_np as _kernel
-
-    KERNEL_BACKEND = "numpy"
+KERNEL_BACKEND = _kernel.BACKEND
 
 
 class ImageFormatError(ValueError):
@@ -147,15 +153,20 @@ def write_image(img: Image, dest: str | Path | None = None) -> bytes:
 # ---------------------------------------------------------------------------
 # rendering
 
-_ray_grid_cache: dict[tuple[int, int, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# ray grids a render_sequence call keeps: one per distinct FOV, bounded so
+# that a path whose FOV changes every frame holds at most this many
+RAY_GRIDS_KEPT = 4
 
 
-def _ray_grid(out_w: int, out_h: int, hfov: float, aspect: float):
-    """Normalized camera-frame rays through each output pixel center."""
+def _ray_grid(out_w: int, out_h: int, hfov: float, aspect: float, cache: dict | None = None):
+    """Normalized camera-frame rays through each output pixel center.
+
+    With a `cache` dict, grids are looked up and stored there, keyed by
+    the arguments; the oldest entry is dropped beyond RAY_GRIDS_KEPT.
+    """
     key = (out_w, out_h, hfov, aspect)
-    cached = _ray_grid_cache.get(key)
-    if cached is not None:
-        return cached
+    if cache is not None and key in cache:
+        return cache[key]
     half_w = math.tan(0.5 * hfov)
     half_h = half_w / aspect
     u = (np.arange(out_w, dtype=np.float64) + 0.5) / out_w
@@ -165,13 +176,22 @@ def _ray_grid(out_w: int, out_h: int, hfov: float, aspect: float):
     xg, yg = np.meshgrid(x, y)
     norm = np.sqrt(xg * xg + yg * yg + 1.0)
     grid = (xg / norm, yg / norm, 1.0 / norm)
-    _ray_grid_cache[key] = grid
+    if cache is not None:
+        if len(cache) >= RAY_GRIDS_KEPT:
+            del cache[next(iter(cache))]
+        cache[key] = grid
     return grid
 
 
-def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
-    """Continuous equirect sample coordinates for every output pixel."""
-    xn, yn, zn = _ray_grid(out_w, out_h, vp.hfov, vp.aspect)
+def _sample_coords(
+    vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int, *, rays: dict | None = None
+):
+    """Continuous equirect sample coordinates for every output pixel.
+
+    `rays` is an optional ray-grid cache owned by the caller (see
+    :func:`_ray_grid`); without it the grid is computed afresh.
+    """
+    xn, yn, zn = _ray_grid(out_w, out_h, vp.hfov, vp.aspect, rays)
     right, up, forward = _camera_basis(vp.center)
     wx = xn * right[0] + yn * up[0] + zn * forward[0]
     wy = xn * right[1] + yn * up[1] + zn * forward[1]
@@ -183,11 +203,7 @@ def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int)
     return px.ravel(), py.ravel()
 
 
-def render_viewport(src: Image, vp: Viewport, out_w: int, out_h: int) -> Image:
-    """Extract one perspective view from an equirect frame.
-
-    The output dimensions must match the viewport aspect within 1%.
-    """
+def _check_output_size(vp: Viewport, out_w: int, out_h: int) -> None:
     if out_w <= 0 or out_h <= 0:
         raise ValueError(f"output dimensions must be positive, got {out_w}x{out_h}")
     if abs(out_w / out_h - vp.aspect) > 0.01 * vp.aspect:
@@ -195,9 +211,21 @@ def render_viewport(src: Image, vp: Viewport, out_w: int, out_h: int) -> Image:
             f"output {out_w}x{out_h} (aspect {out_w / out_h:.4f}) does not match "
             f"viewport aspect {vp.aspect:.4f} within 1%"
         )
-    xs, ys = _sample_coords(vp, out_w, out_h, src.width, src.height)
-    flat = _kernel.bilinear_wrap_sample(src.pixels, xs, ys)
-    return Image(out_w, out_h, np.asarray(flat).reshape(out_h, out_w, 3))
+
+
+def _sample_image(src: Image, coords, out_w: int, out_h: int) -> Image:
+    flat = _kernel.bilinear_wrap_sample(src.pixels, *coords)
+    return Image(out_w, out_h, flat.reshape(out_h, out_w, 3))
+
+
+def render_viewport(src: Image, vp: Viewport, out_w: int, out_h: int) -> Image:
+    """Extract one perspective view from an equirect frame.
+
+    The output dimensions must match the viewport aspect within 1%.
+    """
+    _check_output_size(vp, out_w, out_h)
+    coords = _sample_coords(vp, out_w, out_h, src.width, src.height)
+    return _sample_image(src, coords, out_w, out_h)
 
 
 def render_sequence(frames, camera_path, out_w: int, out_h: int, sink) -> int:
@@ -206,12 +234,16 @@ def render_sequence(frames, camera_path, out_w: int, out_h: int, sink) -> int:
     `frames` is a sequence of Image or PPM file paths; `sink(index,
     image)` receives each result.  The frame count must equal the path
     length; per-frame read/write failures are reported with their index.
-    Returns the number of frames written.
+    Returns the number of frames written.  The output equals
+    :func:`render_viewport` frame by frame: sample coordinates are reused,
+    not approximated, while the viewport and source size hold still.
     """
     if len(frames) != len(camera_path):
         raise RenderError(
             f"frame count {len(frames)} does not match path length {len(camera_path)}"
         )
+    rays: dict = {}
+    key = coords = None
     for i, source in enumerate(frames):
         if isinstance(source, Image):
             img = source
@@ -220,7 +252,12 @@ def render_sequence(frames, camera_path, out_w: int, out_h: int, sink) -> int:
                 img = read_image(source)
             except (OSError, ImageFormatError) as exc:
                 raise RenderError(f"frame {i}: {exc}") from exc
-        out = render_viewport(img, camera_path[i], out_w, out_h)
+        vp = camera_path[i]
+        if (vp, img.width, img.height) != key:
+            _check_output_size(vp, out_w, out_h)
+            coords = _sample_coords(vp, out_w, out_h, img.width, img.height, rays=rays)
+            key = (vp, img.width, img.height)
+        out = _sample_image(img, coords, out_w, out_h)
         try:
             sink(i, out)
         except OSError as exc:

@@ -105,6 +105,19 @@ def test_malformed_tracks_exits_2(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_empty_camera_path_exits_2(workspace, capsys):
+    frames = workspace / "frames"
+    frames.mkdir()
+    path_file = workspace / "path.json"
+    path_file.write_text(json.dumps({"fps": 10.0, "frames": [], "shots": []}))
+    rc = main(["render", "--frames", str(frames), "--path", str(path_file),
+               "--out", str(workspace / "out"), "--size", "160x90"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: camera path has no frames\n"
+    assert "rendered" not in captured.out
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["direct"]) == 1  # missing required flags
     assert main(["no-such-command"]) == 1

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import oracle_project
 
+from autocam360 import _resample, _resample_np, renderer
 from autocam360.geometry import Direction, Viewport, direction_to_equirect_pixel
 from autocam360.renderer import (
     KERNEL_BACKEND,
+    RAY_GRIDS_KEPT,
     Image,
     ImageFormatError,
     RenderError,
+    _ray_grid,
     decode_ppm,
     encode_ppm,
     read_image,
@@ -190,17 +197,64 @@ def test_render_deterministic():
     assert encode_ppm(a) == encode_ppm(b)
 
 
-@pytest.mark.skipif(KERNEL_BACKEND != "cython", reason="compiled kernel unavailable")
-def test_backends_bit_identical():
-    from autocam360 import _resample, _resample_np
+@pytest.fixture(scope="module")
+def compiled_kernel(tmp_path_factory):
+    """The compiled sampler: the active one when it is built, otherwise
+    _resample_c.c compiled here with setup.py's flags."""
+    if KERNEL_BACKEND != "numpy":
+        return renderer._kernel
+    cc = shutil.which(os.environ.get("CC", "cc")) or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler found")
+    source = Path(_resample.__file__).with_name("_resample_c.c")
+    library = tmp_path_factory.mktemp("kernel") / "_resample_c.so"
+    subprocess.run(
+        [cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", str(source), "-o", str(library)],
+        check=True,
+    )
+    return _resample.CompiledKernel(library)
 
+
+def _kernel_cases():
     rng = np.random.default_rng(42)
-    src = rng.integers(0, 256, size=(64, 128, 3), dtype=np.uint8)
-    xs = rng.uniform(-10.0, 140.0, size=5000)
-    ys = rng.uniform(-5.0, 70.0, size=5000)
-    a = _resample.bilinear_wrap_sample(src, xs, ys)
+    h, w, n = 64, 128, 3000
+    src = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    inside_y = rng.uniform(0.0, h, n)
+    beyond_poles = np.concatenate(
+        [rng.uniform(-3.0 * h, 0.5, n // 2), rng.uniform(h - 0.5, 4.0 * h, n - n // 2)]
+    )
+    return {
+        "random": (src, rng.uniform(-10.0, 140.0, n), rng.uniform(-5.0, 70.0, n)),
+        "seam": (src, rng.uniform(w - 0.5, w + 0.5, n), inside_y),
+        "far_outside_x": (src, rng.uniform(-3.0 * w, 4.0 * w, n), inside_y),
+        "beyond_poles": (src, rng.uniform(-w, w, n), beyond_poles),
+        "half_integers": (src, rng.integers(-w, 2 * w, n) + 0.5, rng.integers(-2, h + 2, n) + 0.5),
+        "1x1_source": (src[:1, :1], rng.uniform(-3.0, 4.0, n), rng.uniform(-3.0, 4.0, n)),
+        "one_row_source": (src[:1], rng.uniform(-w, 2.0 * w, n), rng.uniform(-3.0, 4.0, n)),
+        "empty": (src, np.empty(0), np.empty(0)),
+        "strided_xs": (src, rng.uniform(-10.0, 140.0, 2 * n)[::2], inside_y),
+    }
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_backends_bit_identical(compiled_kernel, case):
+    src, xs, ys = KERNEL_CASES[case]
+    a = compiled_kernel.bilinear_wrap_sample(src, xs, ys)
     b = _resample_np.bilinear_wrap_sample(src, xs, ys)
-    assert np.array_equal(np.asarray(a), b)
+    assert a.shape == (len(xs), 3)
+    assert np.array_equal(a, b)
+
+
+def test_compiled_kernel_rejects_bad_arguments(compiled_kernel):
+    src = np.zeros((4, 8, 3), dtype=np.uint8)
+    with pytest.raises(ValueError, match="equal length"):
+        compiled_kernel.bilinear_wrap_sample(src, np.zeros(3), np.zeros(2))
+    for bad in (src.astype(np.float64), src[:, :, :2], src[:0]):
+        with pytest.raises(ValueError, match="uint8"):
+            compiled_kernel.bilinear_wrap_sample(bad, np.zeros(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +281,45 @@ def test_render_sequence_static_path_identical_outputs():
     outs = []
     render_sequence([frame] * 5, [vp] * 5, 64, 36, lambda i, img: outs.append(encode_ppm(img)))
     assert all(o == outs[0] for o in outs)
+
+
+def test_render_sequence_reuses_coordinates_only_while_the_viewport_holds(monkeypatch):
+    spec = ScenarioSpec(seed=2, duration_s=1.0, fps=9.0, width=128, height=64)
+    frames = [synth_panorama(spec, t) for t in range(9)]
+    larger = ScenarioSpec(seed=2, duration_s=1.0, fps=1.0, width=256, height=128)
+    frames[8] = synth_panorama(larger, 0)
+    hfov = math.radians(75)
+    a = Viewport(Direction(1.0, 0.1), hfov, VP_ASPECT)
+    yawed = Viewport(Direction(1.3, 0.1), hfov, VP_ASPECT)
+    pitched = Viewport(Direction(1.3, -0.2), hfov, VP_ASPECT)
+    zoomed = Viewport(Direction(1.3, -0.2), math.radians(60), VP_ASPECT)
+    path = [a, a, yawed, yawed, pitched, zoomed, a, a, a]  # last frame: new source size
+
+    calls = []
+    real = renderer._sample_coords
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(renderer, "_sample_coords", counting)
+    outs = {}
+    render_sequence(frames, path, 64, 36, lambda i, img: outs.__setitem__(i, encode_ppm(img)))
+    monkeypatch.undo()
+
+    assert len(calls) == 6
+    for i, (frame, vp) in enumerate(zip(frames, path)):
+        assert outs[i] == encode_ppm(render_viewport(frame, vp, 64, 36)), i
+
+
+def test_ray_grid_cache_is_bounded():
+    cache = {}
+    grids = [
+        _ray_grid(16, 9, math.radians(40 + k), VP_ASPECT, cache) for k in range(RAY_GRIDS_KEPT + 2)
+    ]
+    assert len(cache) == RAY_GRIDS_KEPT
+    assert _ray_grid(16, 9, math.radians(40 + RAY_GRIDS_KEPT + 1), VP_ASPECT, cache) is grids[-1]
+    assert (16, 9, math.radians(40), VP_ASPECT) not in cache  # the oldest went first
 
 
 def test_render_frames_dir_missing_frame_reports_index(tmp_path):
