@@ -8,7 +8,6 @@ perspective frames.
 from .config import ConfigError, DirectorConfig, load_config
 from .director import (
     DirectorOutput,
-    Shot,
     direct,
     eligible_types,
     output_to_document,
@@ -66,7 +65,6 @@ __all__ = [
     "SaliencyWeights",
     "ScenarioSpec",
     "Scene",
-    "Shot",
     "ShotHypothesis",
     "ShotType",
     "TrackFileError",

@@ -8,7 +8,8 @@ defaults below.  Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -82,37 +83,9 @@ class DirectorConfig:
             raise ConfigError("recommender_min_coverage must be in [0, 1]")
 
 
-_TOP_LEVEL_KEYS = {
-    "shot_length_s",
-    "fov_deg",
-    "aspect",
-    "max_hypotheses_per_type",
-    "jump_cut_threshold_deg",
-    "jump_cut_penalty",
-    "occurrence_window",
-    "occurrence_cap",
-    "no_repeat",
-    "smoothing_alpha",
-    "max_angular_velocity_deg_s",
-    "pitch_clamp_deg",
-    "pan_sweep_deg",
-    "cluster_threshold_deg",
-    "recommender_min_coverage",
-    "measures",
-    "saliency",
-}
-
-_MEASURE_KEYS = {
-    "size_ref_sr",
-    "motion_ref_deg_s",
-    "neighbour_ref_deg",
-    "history_len",
-    "visited_decay",
-    "min_presence",
-    "interp_gap_frames",
-}
-
 _SALIENCY_KEYS = {"type_weights", "visited_weight", "category_weights"}
+_TYPE_WEIGHT_KEYS = ("size", "motion", "isolation")
+_KIND_NAMES = {"bool": "a boolean", "int": "an integer", "float": "a finite number"}
 
 
 def _shot_type(name: str) -> ShotType:
@@ -125,80 +98,105 @@ def _shot_type(name: str) -> ShotType:
         ) from None
 
 
-def _check_keys(data: dict, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(data) - allowed)
+def _check_keys(data: dict, allowed, context: str) -> None:
+    unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {context} key(s): {', '.join(unknown)}")
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    return value
+
+
+def _scalar(value, kind: str, name: str):
+    """`value` as a field of declared type `kind` ("bool", "int" or
+    "float"): bools must be JSON booleans, ints JSON integers, and floats
+    finite numbers, integers included."""
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    elif kind == "int":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:  # NaN fails the comparison too
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and abs(value) <= sys.float_info.max
+        if ok:
+            value = float(value)
+    if not ok:
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _fields(cls, data: dict, context: str) -> dict:
+    """The scalar fields of dataclass `cls` given in `data`, type-checked
+    against their declared types."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    return {k: _scalar(v, kinds[k], f"{context}{k}") for k, v in data.items()}
 
 
 def config_from_dict(data: dict) -> DirectorConfig:
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    _check_keys(data, _TOP_LEVEL_KEYS, "config")
+    _check_keys(data, {f.name for f in fields(DirectorConfig)}, "config")
 
-    cfg = DirectorConfig()
-    simple = {
-        k: data[k]
-        for k in _TOP_LEVEL_KEYS - {"fov_deg", "measures", "saliency"}
-        if k in data
-    }
+    nested = {"fov_deg", "measures", "saliency"}
+    simple = _fields(DirectorConfig, {k: v for k, v in data.items() if k not in nested}, "")
 
     if "fov_deg" in data:
-        if not isinstance(data["fov_deg"], dict):
-            raise ConfigError("fov_deg must be an object mapping shot type to degrees")
+        fov = _object(data["fov_deg"], "fov_deg")
         fovs = dict(_default_fovs())
-        for name, value in data["fov_deg"].items():
-            fovs[_shot_type(name)] = float(value)
+        for name, value in fov.items():
+            fovs[_shot_type(name)] = _scalar(value, "float", f"fov_deg['{name}']")
         simple["fov_deg"] = fovs
 
     if "measures" in data:
-        m = data["measures"]
-        if not isinstance(m, dict):
-            raise ConfigError("measures must be an object")
-        _check_keys(m, _MEASURE_KEYS, "measures")
+        m = _object(data["measures"], "measures")
+        _check_keys(m, {f.name for f in fields(MeasureConfig)}, "measures")
         try:
-            simple["measures"] = replace(MeasureConfig(), **m)
+            simple["measures"] = replace(MeasureConfig(), **_fields(MeasureConfig, m, "measures."))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     if "saliency" in data:
-        s = data["saliency"]
-        if not isinstance(s, dict):
-            raise ConfigError("saliency must be an object")
+        s = _object(data["saliency"], "saliency")
         _check_keys(s, _SALIENCY_KEYS, "saliency")
         kwargs: dict = {}
         if "type_weights" in s:
             tw = {}
-            base = SaliencyWeights().type_weights
-            for name, spec in s["type_weights"].items():
+            for name, spec in _object(s["type_weights"], "type_weights").items():
                 t = _shot_type(name)
+                context = f"type_weights['{name}']"
+                spec = _object(spec, context)
+                _check_keys(spec, _TYPE_WEIGHT_KEYS, context)
+                missing = [k for k in _TYPE_WEIGHT_KEYS if k not in spec]
+                if missing:
+                    raise ConfigError(f"{context} missing {missing[0]!r}")
                 try:
                     tw[t] = TypeWeights(
-                        float(spec["size"]), float(spec["motion"]), float(spec["isolation"])
+                        *(_scalar(spec[k], "float", f"{context}.{k}") for k in _TYPE_WEIGHT_KEYS)
                     )
-                except KeyError as exc:
-                    raise ConfigError(
-                        f"type_weights['{name}'] missing {exc.args[0]!r}"
-                    ) from exc
                 except ValueError as exc:
-                    raise ConfigError(f"type_weights['{name}']: {exc}") from exc
-            kwargs["type_weights"] = {**base, **tw}
+                    raise ConfigError(f"{context}: {exc}") from exc
+            kwargs["type_weights"] = {**SaliencyWeights().type_weights, **tw}
         if "visited_weight" in s:
-            kwargs["visited_weight"] = float(s["visited_weight"])
+            kwargs["visited_weight"] = _scalar(s["visited_weight"], "float", "visited_weight")
         if "category_weights" in s:
-            cw = dict(s["category_weights"])
-            default = cw.pop("default", None)
-            kwargs["category_weights"] = {k: float(v) for k, v in cw.items()}
-            if default is not None:
-                kwargs["default_category_weight"] = float(default)
+            cw = {
+                label: _scalar(v, "float", f"category_weights['{label}']")
+                for label, v in _object(s["category_weights"], "category_weights").items()
+            }
+            if "default" in cw:
+                kwargs["default_category_weight"] = cw.pop("default")
+            kwargs["category_weights"] = cw
         try:
             simple["saliency"] = SaliencyWeights(**kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     try:
-        return replace(cfg, **simple)
-    except (TypeError, ValueError) as exc:
+        return DirectorConfig(**simple)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

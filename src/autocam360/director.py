@@ -4,7 +4,10 @@ Segments the timeline into shot-length ranges, generates and scores
 hypotheses for every eligible shot type, picks the argmax (ties broken
 by declaration order of :class:`ShotType`, then generation index),
 enforces the occurrence limits, and maintains the visited history.
-Identical inputs produce bit-identical output.
+Object positions are interpolated once per scene and each shot reads its
+slice; saliency is tabled once per shot type per shot.  The chosen shots
+are the winning :class:`ShotHypothesis` objects themselves.  Identical
+inputs produce bit-identical output.
 """
 
 from __future__ import annotations
@@ -12,12 +15,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .config import DirectorConfig
-from .geometry import Direction, Viewport, smooth_directions
-from .hypotheses import ShotHypothesis, generate_hypotheses, saliency_table, score_hypothesis
+from .geometry import Direction, Viewport
+from .hypotheses import (
+    ShotHypothesis,
+    generate_hypotheses,
+    saliency_table,
+    score_hypothesis,
+    smooth_path,  # re-exported as part of the director's API
+)
 from .measures import (
     ObjectMeasures,
+    Positions,
     VisitedHistory,
     compute_measures,
     frame_positions,
@@ -25,20 +36,6 @@ from .measures import (
 )
 from .saliency import ShotType
 from .tracks import Scene
-
-_TYPE_ORDER = {t: i for i, t in enumerate(ShotType)}
-
-
-@dataclass(frozen=True)
-class Shot:
-    """A chosen shot; ranges of consecutive shots tile the timeline."""
-
-    shot_type: ShotType
-    start: int
-    end: int
-    path: tuple[Viewport, ...]
-    score: float
-    target_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class ShotRecord:
 @dataclass(frozen=True)
 class DirectorOutput:
     fps: float
-    shots: tuple[Shot, ...]
+    shots: tuple[ShotHypothesis, ...]
     camera_path: tuple[Viewport, ...]
     records: tuple[ShotRecord, ...] = field(default=(), repr=False, compare=False)
 
@@ -74,7 +71,8 @@ def segment_timeline(num_frames: int, fps: float, shot_length_s: float) -> list[
         raise ValueError(f"num_frames must be positive, got {num_frames}")
     if fps <= 0 or shot_length_s <= 0:
         raise ValueError("fps and shot_length_s must be positive")
-    length = max(1, round(fps * shot_length_s))
+    # min(): round() cannot take the infinite product of a huge shot length
+    length = max(1, round(min(fps * shot_length_s, num_frames)))
     full = num_frames // length
     remainder = num_frames % length
     if full == 0:
@@ -117,6 +115,22 @@ def _excluded(
 _RULE_STAGES = ((True, True), (False, True), (False, False))
 
 
+def _stages(recent: tuple[ShotType, ...], cfg: DirectorConfig) -> Iterator[Eligibility]:
+    """The allowed types at each relaxation stage, strictest first.
+
+    A stage that allows nothing, or the same types as the stage before,
+    is skipped.  The last stage drops every rule and allows all types,
+    so at least one stage is always yielded.
+    """
+    last = None
+    for i, (window_rule, no_repeat_rule) in enumerate(_RULE_STAGES):
+        excluded = _excluded(recent, cfg, window_rule, no_repeat_rule)
+        allowed = Eligibility((t for t in ShotType if t not in excluded), relaxed=i > 0)
+        if allowed and allowed != last:
+            yield allowed
+            last = allowed
+
+
 def eligible_types(recent, cfg: DirectorConfig) -> Eligibility:
     """Types allowed after the given chronological choice history.
 
@@ -125,110 +139,48 @@ def eligible_types(recent, cfg: DirectorConfig) -> Eligibility:
     `occurrence_window` choices.  If that empties the set, the window
     rule is relaxed first, then no-repeat, so the result is never empty.
     """
-    recent = tuple(recent)
-    for i, (window_rule, no_repeat_rule) in enumerate(_RULE_STAGES):
-        allowed = [t for t in ShotType if t not in _excluded(recent, cfg, window_rule, no_repeat_rule)]
-        if allowed:
-            return Eligibility(allowed, relaxed=i > 0)
-    return Eligibility(tuple(ShotType), relaxed=True)  # unreachable: stage 3 allows all
-
-
-def smooth_path(raw_centers, fps: float, cfg: DirectorConfig) -> list[Direction]:
-    """Sphere-aware exponential smoothing with the config's velocity and
-    pitch limits; see :func:`autocam360.geometry.smooth_directions`."""
-    return smooth_directions(
-        list(raw_centers),
-        cfg.smoothing_alpha,
-        math.radians(cfg.max_angular_velocity_deg_s) / fps,
-        math.radians(cfg.pitch_clamp_deg),
-    )
-
-
-def _continuation_pan(prev, frame_range, cfg: DirectorConfig) -> ShotHypothesis:
-    """Last-resort shot: keep panning from wherever the camera is."""
-    if prev is not None:
-        anchor = prev.path[-1].center
-    else:
-        anchor = Direction(0.0, 0.0)
-    start, end = frame_range
-    n = end - start
-    sweep = math.radians(cfg.pan_sweep_deg)
-    if n == 1:
-        centers = [anchor]
-    else:
-        centers = [Direction(anchor.yaw + sweep * i / (n - 1), anchor.pitch) for i in range(n)]
-    path = tuple(
-        Viewport(c, math.radians(cfg.fov_deg[ShotType.PAN]), cfg.aspect) for c in centers
-    )
-    return ShotHypothesis(ShotType.PAN, start, end, path)
+    return next(_stages(tuple(recent), cfg))
 
 
 def _plan(
     scene: Scene,
     frame_range: tuple[int, int],
+    positions: Positions,
     history: VisitedHistory,
     recent: tuple[ShotType, ...],
     cfg: DirectorConfig,
-    prev: Shot | None,
-) -> tuple[Shot, ShotRecord]:
-    measures = compute_measures(scene, frame_range, history, cfg.measures)
-    positions = frame_positions(scene, frame_range, cfg.measures.interp_gap_frames)
+    prev: ShotHypothesis | None,
+) -> tuple[ShotHypothesis, ShotRecord]:
+    measures = compute_measures(scene, frame_range, positions, history, cfg.measures)
     saliency = {t: saliency_table(measures, scene, t, cfg.saliency) for t in ShotType}
 
-    stages: list[tuple[tuple[ShotType, ...], bool]] = []
-    for i, (window_rule, no_repeat_rule) in enumerate(_RULE_STAGES):
-        allowed = tuple(
-            t for t in ShotType if t not in _excluded(recent, cfg, window_rule, no_repeat_rule)
-        )
-        if allowed and (not stages or allowed != stages[-1][0]):
-            stages.append((allowed, i > 0 or bool(stages)))
-
-    for allowed, relaxed in stages:
-        hyps: list[ShotHypothesis] = []
-        for shot_type in ShotType:
-            if shot_type not in allowed:
-                continue
-            for h in generate_hypotheses(shot_type, scene, frame_range, measures, prev, cfg):
-                hyps.append(
-                    score_hypothesis(h, scene, measures, prev, cfg.saliency, cfg, positions)
-                )
-        if not hyps:
-            continue
-        best = 0
-        for i in range(1, len(hyps)):
-            if hyps[i].score > hyps[best].score:  # ties keep the earlier candidate
-                best = i
-        chosen = hyps[best]
-        shot = Shot(
-            chosen.shot_type,
-            chosen.start,
-            chosen.end,
-            chosen.path,
-            chosen.score,
-            chosen.target_ids,
-        )
-        record = ShotRecord(
-            frame_range[0],
-            frame_range[1],
-            relaxed,
-            allowed,
-            measures,
-            saliency,
-            tuple(hyps),
-            best,
-        )
-        return shot, record
-
-    # unreachable while the pan generator is total; kept as the documented
-    # fallback so planning can never dead-end
-    h = score_hypothesis(
-        _continuation_pan(prev, frame_range, cfg), scene, measures, prev, cfg.saliency, cfg
-    )
-    shot = Shot(h.shot_type, h.start, h.end, h.path, h.score, h.target_ids)
+    # the last stage admits PAN, whose generator always yields candidates
+    for allowed in _stages(recent, cfg):
+        hyps = [
+            score_hypothesis(h, saliency[t], positions, prev, cfg)
+            for t in ShotType
+            if t in allowed
+            for h in generate_hypotheses(
+                t, scene, frame_range, measures, saliency[t], positions, prev, cfg
+            )
+        ]
+        if hyps:
+            break
+    best = 0
+    for i in range(1, len(hyps)):
+        if hyps[i].score > hyps[best].score:  # ties keep the earlier candidate
+            best = i
     record = ShotRecord(
-        frame_range[0], frame_range[1], True, (), measures, saliency, (h,), 0
+        frame_range[0],
+        frame_range[1],
+        allowed.relaxed,
+        tuple(t for t in ShotType if t in allowed),
+        measures,
+        saliency,
+        tuple(hyps),
+        best,
     )
-    return shot, record
+    return hyps[best], record
 
 
 def plan_next_shot(
@@ -237,29 +189,33 @@ def plan_next_shot(
     history: VisitedHistory,
     chosen_types,
     cfg: DirectorConfig,
-    prev: Shot | None = None,
-) -> Shot:
+    prev: ShotHypothesis | None = None,
+) -> ShotHypothesis:
     """Best shot for one range given the choice history so far."""
-    shot, _record = _plan(scene, frame_range, history, tuple(chosen_types), cfg, prev)
+    positions = frame_positions(scene, frame_range, cfg.measures.interp_gap_frames)
+    shot, _record = _plan(scene, frame_range, positions, history, tuple(chosen_types), cfg, prev)
     return shot
 
 
 def direct(scene: Scene, cfg: DirectorConfig | None = None) -> DirectorOutput:
     """Plan the whole timeline: the complete shot list plus per-frame path.
 
-    Deterministic: identical inputs produce bit-identical output.  The
-    visited history is updated only with chosen shots, never with
-    rejected hypotheses.
+    Object positions are interpolated once for the whole scene; each
+    shot plans from its slice of that table.  Deterministic: identical
+    inputs produce bit-identical output.  The visited history is updated
+    only with chosen shots, never with rejected hypotheses.
     """
     cfg = cfg or DirectorConfig()
+    scene_positions = frame_positions(scene, (0, scene.num_frames), cfg.measures.interp_gap_frames)
     history = VisitedHistory(capacity=cfg.measures.history_len)
     recent: list[ShotType] = []
-    prev: Shot | None = None
-    shots: list[Shot] = []
+    prev: ShotHypothesis | None = None
+    shots: list[ShotHypothesis] = []
     records: list[ShotRecord] = []
-    for frame_range in segment_timeline(scene.num_frames, scene.fps, cfg.shot_length_s):
-        shot, record = _plan(scene, frame_range, history, tuple(recent), cfg, prev)
-        history = update_history(history, shot, scene, cfg.measures.interp_gap_frames)
+    for start, end in segment_timeline(scene.num_frames, scene.fps, cfg.shot_length_s):
+        positions = {oid: row[start:end] for oid, row in scene_positions.items()}
+        shot, record = _plan(scene, (start, end), positions, history, tuple(recent), cfg, prev)
+        history = update_history(history, shot, positions)
         recent.append(shot.shot_type)
         shots.append(shot)
         records.append(record)

@@ -7,7 +7,9 @@ and applies the classic 30-degree jump-cut penalty against the previous
 shot, with same-target tracking continuations exempt.
 
 Generators for the five types are independent of each other and pure;
-output ordering is deterministic (saliency, then object id).
+output ordering is deterministic (saliency, then object id).  The
+per-frame object positions and the per-type saliency table come in from
+the caller, which builds each once per shot range.
 """
 
 from __future__ import annotations
@@ -26,14 +28,18 @@ from .geometry import (
     rotate_toward,
     smooth_directions,
 )
-from .measures import ObjectMeasures, frame_positions
+from .measures import ObjectMeasures, Positions
 from .saliency import SaliencyWeights, ShotType, object_saliency
 from .tracks import Scene
 
 
 @dataclass(frozen=True)
 class ShotHypothesis:
-    """One candidate shot: type, frame range, per-frame path, score."""
+    """One candidate shot: type, frame range, per-frame path, score.
+
+    The director's chosen shots are the winning hypotheses themselves;
+    consecutive chosen ranges tile the timeline.
+    """
 
     shot_type: ShotType
     start: int
@@ -80,6 +86,17 @@ def _viewport(center: Direction, shot_type: ShotType, cfg: DirectorConfig) -> Vi
     return Viewport(center, math.radians(cfg.fov_deg[shot_type]), cfg.aspect)
 
 
+def smooth_path(raw_centers, fps: float, cfg: DirectorConfig) -> list[Direction]:
+    """Sphere-aware exponential smoothing with the config's velocity and
+    pitch limits; see :func:`autocam360.geometry.smooth_directions`."""
+    return smooth_directions(
+        list(raw_centers),
+        cfg.smoothing_alpha,
+        math.radians(cfg.max_angular_velocity_deg_s) / fps,
+        math.radians(cfg.pitch_clamp_deg),
+    )
+
+
 def _ranked_targets(
     measures: dict[str, ObjectMeasures],
     sal: dict[str, float],
@@ -92,9 +109,7 @@ def _ranked_targets(
     return sorted(ids, key=lambda o: (-sal[o], o))
 
 
-def _held_centers(
-    positions: dict[str, list[tuple[Direction, float] | None]], oid: str
-) -> list[Direction]:
+def _held_centers(positions: Positions, oid: str) -> list[Direction]:
     """Per-frame centers with absences held at the last known position
     (the first known one for leading absences)."""
     row = positions[oid]
@@ -108,19 +123,10 @@ def _held_centers(
     return out
 
 
-def _smooth(raw: list[Direction], scene: Scene, cfg: DirectorConfig) -> list[Direction]:
-    return smooth_directions(
-        raw,
-        cfg.smoothing_alpha,
-        math.radians(cfg.max_angular_velocity_deg_s) / scene.fps,
-        math.radians(cfg.pitch_clamp_deg),
-    )
-
-
 def _generate_tracking(scene, frame_range, measures, sal, positions, cfg):
     out = []
     for oid in _ranked_targets(measures, sal, cfg)[:3]:
-        centers = _smooth(_held_centers(positions, oid), scene, cfg)
+        centers = smooth_path(_held_centers(positions, oid), scene.fps, cfg)
         path = tuple(_viewport(c, ShotType.TRACKING, cfg) for c in centers)
         out.append(
             ShotHypothesis(ShotType.TRACKING, frame_range[0], frame_range[1], path, (oid,))
@@ -231,7 +237,7 @@ def _generate_recommender(scene, frame_range, cfg):
             frac = (t - f1) / (f2 - f1)
             targets.append(rotate_toward(d1, d2, frac * angular_distance(d1, d2)))
 
-    smoothed = _smooth(targets, scene, cfg)
+    smoothed = smooth_path(targets, scene.fps, cfg)
     limit = math.radians(cfg.pitch_clamp_deg)
     n = end - start
     follow = tuple(_viewport(c, ShotType.RECOMMENDER, cfg) for c in smoothed)
@@ -248,17 +254,19 @@ def generate_hypotheses(
     scene: Scene,
     frame_range: tuple[int, int],
     measures: dict[str, ObjectMeasures],
+    sal: dict[str, float],
+    positions: Positions,
     prev,
     cfg: DirectorConfig,
 ) -> list[ShotHypothesis]:
     """Candidates of one type for one range; an empty list is valid.
 
+    `sal` is the :func:`saliency_table` of `shot_type` and `positions`
+    the :func:`~autocam360.measures.frame_positions` table of the range.
     `prev` is the previously chosen shot, if any (used by the pan
     generator to anchor its sweep).
     """
-    sal = saliency_table(measures, scene, shot_type, cfg.saliency)
     if shot_type is ShotType.TRACKING:
-        positions = frame_positions(scene, frame_range, cfg.measures.interp_gap_frames)
         out = _generate_tracking(scene, frame_range, measures, sal, positions, cfg)
     elif shot_type is ShotType.STATIC:
         out = _generate_static(scene, frame_range, measures, sal, cfg)
@@ -273,25 +281,19 @@ def generate_hypotheses(
 
 def score_hypothesis(
     h: ShotHypothesis,
-    scene: Scene,
-    measures: dict[str, ObjectMeasures],
+    sal: dict[str, float],
+    positions: Positions,
     prev,
-    weights: SaliencyWeights,
     cfg: DirectorConfig,
-    positions: dict[str, list[tuple[Direction, float] | None]] | None = None,
 ) -> ShotHypothesis:
     """Attach raw score, jump-cut penalty and final score to a hypothesis.
 
-    The raw score is the per-frame mean of saliency-weighted framing
-    quality summed over the objects present in that frame; it is always
-    >= 0.  `prev` is the previously chosen shot, if any.  `positions` may
-    carry precomputed per-frame centers for the same range.
+    `sal` is the :func:`saliency_table` of the hypothesis's type and
+    `positions` the :func:`~autocam360.measures.frame_positions` table of
+    its range.  The raw score is the per-frame mean of saliency-weighted
+    framing quality summed over the objects present in that frame; it is
+    always >= 0.  `prev` is the previously chosen shot, if any.
     """
-    sal = saliency_table(measures, scene, h.shot_type, weights)
-    if positions is None:
-        positions = frame_positions(
-            scene, (h.start, h.end), cfg.measures.interp_gap_frames
-        )
     total = 0.0
     for i, vp in enumerate(h.path):
         for oid in sal:

@@ -5,12 +5,17 @@ frame range: size, motion, neighbourhood (isolation) and visited
 (recent-shot visibility).  Raw quantities saturate through ``x/(x+ref)``
 so every measure is dimensionless in [0, 1] and the reference constants
 below are the midpoints of their scales.
+
+Object positions come in from the caller: the director builds one
+:func:`frame_positions` table per scene, and :func:`compute_measures`
+and :func:`update_history` read the slice for their own range instead
+of interpolating the tracks again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .geometry import (
@@ -21,7 +26,7 @@ from .geometry import (
     mean_direction,
     project_to_viewport,
 )
-from .tracks import ObjectTrack, Scene, interpolated_bbox
+from .tracks import Scene, interpolated_bbox
 
 # solid angle of a 30 x 30 degree patch straddling the equator
 OMEGA_REF_30DEG: float = (math.pi / 6.0) * 2.0 * math.sin(math.pi / 12.0)
@@ -108,13 +113,19 @@ def visited_score(history: VisitedHistory, object_id: str, decay: float) -> floa
     return num / den
 
 
-def frame_positions(
-    scene: Scene, frame_range: tuple[int, int], max_gap: int
-) -> dict[str, list[tuple[Direction, float] | None]]:
+# object id -> per-frame (center direction, solid angle), None where absent
+Positions = dict[str, list[tuple[Direction, float] | None]]
+
+
+def frame_positions(scene: Scene, frame_range: tuple[int, int], max_gap: int) -> Positions:
     """Per-frame (center direction, solid angle) for every object, None
-    where the object is absent.  Keys are sorted object ids."""
+    where the object is absent.  Keys are sorted object ids.
+
+    Rows are per frame, so the table of a sub-range is the same slice of
+    every row of the whole-scene table.
+    """
     start, end = frame_range
-    out: dict[str, list[tuple[Direction, float] | None]] = {}
+    out: Positions = {}
     for track in sorted(scene.objects, key=lambda t: t.id):
         row: list[tuple[Direction, float] | None] = []
         for f in range(start, end):
@@ -135,11 +146,13 @@ def frame_positions(
 def compute_measures(
     scene: Scene,
     frame_range: tuple[int, int],
+    positions: Positions,
     history: VisitedHistory,
     cfg: MeasureConfig,
 ) -> dict[str, ObjectMeasures]:
     """Measures for every object present at least one frame of the range.
 
+    `positions` is the :func:`frame_positions` table of `frame_range`.
     Deterministic and independent of object order (results keyed and
     iterated by sorted id).  Pure; safe to call concurrently.
     """
@@ -149,7 +162,8 @@ def compute_measures(
     if start < 0 or end > scene.num_frames:
         raise ValueError(f"range [{start}, {end}) outside [0, {scene.num_frames})")
     n_frames = end - start
-    positions = frame_positions(scene, frame_range, cfg.interp_gap_frames)
+    if any(len(row) != n_frames for row in positions.values()):
+        raise ValueError("positions must cover the frame range")
 
     out: dict[str, ObjectMeasures] = {}
     for oid in sorted(positions):
@@ -199,29 +213,25 @@ def compute_measures(
     return out
 
 
-def update_history(
-    history: VisitedHistory, shot, scene: Scene, max_gap: int = 15
-) -> VisitedHistory:
+def update_history(history: VisitedHistory, shot, positions: Positions) -> VisitedHistory:
     """Append the chosen shot's per-object visibility to the ring.
 
+    `positions` is the :func:`frame_positions` table of the shot's range.
     Visibility is the fraction of the shot's frames where the object's
     center direction projects inside the shot viewport (u, v both in
     [0, 1]); the object's extent is ignored on purpose.
     """
-    start, end = shot.start, shot.end
-    n = end - start
-    if len(shot.path) != n:
-        raise ValueError("shot path must cover its whole frame range")
+    n = shot.end - shot.start
+    if len(shot.path) != n or any(len(row) != n for row in positions.values()):
+        raise ValueError("shot path and positions must cover the shot's frame range")
     visibility: dict[str, float] = {}
-    for track in scene.objects:
+    for oid, row in positions.items():
         inside = 0
-        for i in range(n):
-            box = interpolated_bbox(track, start + i, scene, max_gap)
-            if box is None:
+        for p, vp in zip(row, shot.path):
+            if p is None:
                 continue
-            center = bbox_center_direction(box, scene.width, scene.height)
-            uv = project_to_viewport(center, shot.path[i])
+            uv = project_to_viewport(p[0], vp)
             if uv is not None and 0.0 <= uv[0] <= 1.0 and 0.0 <= uv[1] <= 1.0:
                 inside += 1
-        visibility[track.id] = inside / n
+        visibility[oid] = inside / n
     return history.push(visibility)

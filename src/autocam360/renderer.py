@@ -8,9 +8,8 @@ The per-pixel gather/blend is the hot kernel.  A plain-C sampler
 (``_resample_c.c``, built by ``setup.py`` and loaded through ctypes by
 ``_resample``) is used when it has been built, with a pure-NumPy fallback
 selected at import time; ``KERNEL_BACKEND`` names the active one ("c" or
-"numpy").  Both produce byte-identical frames (see
-``benchmarks/bench_resample.py`` for the speed comparison), and rendering
-is deterministic regardless of pixel iteration order.
+"numpy").  Both produce byte-identical frames, and rendering is
+deterministic regardless of pixel iteration order.
 
 Sample coordinates depend only on the viewport and the frame sizes, so
 :func:`render_sequence` computes them once per run of frames that share

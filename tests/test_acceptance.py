@@ -30,13 +30,13 @@ from autocam360.geometry import (
     unproject_from_viewport,
 )
 from autocam360.hypotheses import ShotHypothesis, score_hypothesis
-from autocam360.measures import VisitedHistory, compute_measures
+from autocam360.measures import VisitedHistory
 from autocam360.renderer import Image, encode_ppm, read_image, render_viewport
 from autocam360.saliency import ShotType
 from autocam360.synth import ActorSpec, ScenarioSpec, scenario_to_document, synth_panorama, synth_scene
 from autocam360.tracks import ObjectTrack, Scene, TrackSample
 
-from test_measures import box_at, make_scene, track_from_yaws, H, W
+from test_measures import box_at, make_scene, measure, track_from_yaws, H, W
 
 CFG = DirectorConfig()
 
@@ -181,29 +181,29 @@ def test_criterion_3_measures_closed_forms():
         # neighbourhood: two objects at constant 30 degree separation
         a = track_from_yaws("a", {t: -15.0 for t in range(30)})
         b = track_from_yaws("b", {t: 15.0 for t in range(30)})
-        m = compute_measures(make_scene([a, b]), (0, 30), VisitedHistory(), cfg)
+        m = measure(make_scene([a, b]), (0, 30), VisitedHistory(), cfg)
         assert m["a"].neighbourhood == pytest.approx(0.5, abs=1e-9)
         assert m["b"].neighbourhood == pytest.approx(0.5, abs=1e-9)
 
         # visited: fully visible in the single most recent shot, K=3
         history = VisitedHistory(capacity=3).push({"a": 1.0})
-        m = compute_measures(make_scene([a, b]), (0, 30), history, cfg)
+        m = measure(make_scene([a, b]), (0, 30), history, cfg)
         assert m["a"].visited == pytest.approx(1.0 / 1.75, abs=1e-9)
         assert m["b"].visited == 0.0
 
         # motion: 10 deg/s drift
         mover = track_from_yaws("m", {t: 10.0 * t / 30.0 for t in range(30)})
-        m = compute_measures(make_scene([mover]), (0, 30), VisitedHistory(), cfg)
+        m = measure(make_scene([mover]), (0, 30), VisitedHistory(), cfg)
         assert m["m"].motion == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert m["m"].neighbourhood == 1.0
 
         # size: a 30x30 degree equatorial box exactly saturates
         big = make_scene([ObjectTrack("s", "human", (TrackSample(0, box_at(0, 0, 30.0)),))])
-        m = compute_measures(big, (0, 1), VisitedHistory(), cfg)
+        m = measure(big, (0, 1), VisitedHistory(), cfg)
         assert m["s"].size == pytest.approx(1.0, abs=1e-9)
         # stationary object: motion exactly 0
         still = make_scene([track_from_yaws("s", {t: 40.0 for t in range(30)})])
-        assert compute_measures(still, (0, 30), VisitedHistory(), cfg)["s"].motion == 0.0
+        assert measure(still, (0, 30), VisitedHistory(), cfg)["s"].motion == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +359,8 @@ def test_criterion_5_editing_rules():
         prev = ShotHypothesis(ShotType.STATIC, 0, 30, (vp(0.0),) * 30)
         near = ShotHypothesis(ShotType.MEDIUM, 30, 60, (vp(20.0),) * 30)
         far = ShotHypothesis(ShotType.MEDIUM, 30, 60, (vp(40.0),) * 30)
-        s_near = score_hypothesis(near, empty, {}, prev, CFG.saliency, CFG)
-        s_far = score_hypothesis(far, empty, {}, prev, CFG.saliency, CFG)
+        s_near = score_hypothesis(near, {}, {}, prev, CFG)
+        s_far = score_hypothesis(far, {}, {}, prev, CFG)
         assert s_far.score - s_near.score == 0.5
 
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from autocam360.cli import main
 from autocam360.config import ConfigError, DirectorConfig, config_from_dict, load_config
+from autocam360.measures import MeasureConfig
 from autocam360.saliency import ShotType
 
 
@@ -93,3 +98,117 @@ def load_config_path_with_text(text: str):
         p = Path(d) / "cfg.json"
         p.write_text(text)
         return load_config(p)
+
+
+# wrong scalar types, non-object sections, null and non-finite numbers
+MALFORMED = [
+    '{"fov_deg": {"pan": null}}',
+    '{"measures": {"history_len": "3"}}',
+    '{"saliency": {"category_weights": {"human": null}}}',
+    '{"saliency": {"category_weights": 5}}',
+    '{"saliency": {"type_weights": {"pan": 3}}}',
+    '{"max_hypotheses_per_type": 2.5}',
+    '{"occurrence_window": 2.5}',
+    '{"no_repeat": "no"}',
+    '{"measures": {"interp_gap_frames": 1.5}}',
+    '{"jump_cut_penalty": Infinity}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_config_exits_2_with_one_error_line(tmp_path, capsys, text):
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text('{"fps": 30, "width": 360, "height": 180, "num_frames": 30, "objects": []}')
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    out = tmp_path / "path.json"
+    rc = main(["direct", "--tracks", str(tracks), "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scalar_types_are_strict():
+    with pytest.raises(ConfigError, match="boolean"):
+        config_from_dict({"no_repeat": 0})
+    with pytest.raises(ConfigError, match="integer"):
+        config_from_dict({"occurrence_cap": True})
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_dict({"aspect": float("nan")})
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_dict({"pan_sweep_deg": 10**400})
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_dict({"saliency": {"category_weights": {"default": None}}})
+    # integers still count as numbers
+    cfg = config_from_dict({"shot_length_s": 2, "fov_deg": {"pan": 80}})
+    assert cfg.shot_length_s == 2.0 and cfg.fov_deg[ShotType.PAN] == 80.0
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # the README's example
+        {
+            "shot_length_s": 2.5,
+            "fov_deg": {"tracking": 70},
+            "jump_cut_threshold_deg": 30,
+            "measures": {"motion_ref_deg_s": 20, "history_len": 3},
+            "saliency": {
+                "visited_weight": 0.7,
+                "category_weights": {"human": 1.0, "default": 0.3},
+            },
+        },
+        # the config of perfbench's pipeline_hd workload
+        {
+            "shot_length_s": 1.0,
+            "pan_sweep_deg": 45.0,
+            "fov_deg": {
+                "tracking": 75.0, "static": 115.0, "medium": 95.0, "pan": 90.0, "recommender": 75.0
+            },
+        },
+    ],
+)
+def test_documented_configs_load(data):
+    cfg = config_from_dict(data)
+    assert cfg.shot_length_s == data["shot_length_s"]
+    for name, deg in data["fov_deg"].items():
+        assert cfg.fov_deg[ShotType(name)] == deg
+
+
+def _object(keys, values):
+    return st.dictionaries(st.sampled_from(sorted(keys) + ["unknown"]), values, max_size=4)
+
+
+_ANY = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0, 1, 0.5, 2.5, 45.0, 10**400])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_PER_TYPE = _object(
+    [t.value for t in ShotType], _ANY | _object(["size", "motion", "isolation"], _ANY)
+)
+_SECTIONS = (
+    _PER_TYPE
+    | _object({f.name for f in fields(MeasureConfig)}, _ANY)
+    | _object(
+        ["type_weights", "visited_weight", "category_weights"],
+        _ANY | _PER_TYPE | _object(["human", "default"], _ANY),
+    )
+)
+# documents shaped like configs at every depth, with wrong types anywhere
+_DOCUMENTS = _ANY | _object({f.name for f in fields(DirectorConfig)}, _ANY | _SECTIONS)
+
+
+@given(_DOCUMENTS)
+def test_config_from_dict_raises_only_config_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, DirectorConfig)

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+import autocam360.director
+import autocam360.hypotheses
+import autocam360.measures
 from autocam360.config import DirectorConfig
 from autocam360.director import (
-    Shot,
     direct,
     eligible_types,
     output_to_document,
@@ -17,6 +19,7 @@ from autocam360.director import (
     smooth_path,
 )
 from autocam360.geometry import Direction, Viewport, angular_distance
+from autocam360.hypotheses import ShotHypothesis
 from autocam360.measures import VisitedHistory
 from autocam360.saliency import SaliencyWeights, ShotType, TypeWeights
 from autocam360.tracks import Scene
@@ -44,6 +47,10 @@ def test_segment_large_remainder_stands_alone():
 
 def test_segment_short_clip_is_single_shot():
     assert segment_timeline(40, 30, 3.0) == [(0, 40)]
+
+
+def test_segment_huge_shot_length_is_single_shot():
+    assert segment_timeline(40, 30, 1e308) == [(0, 40)]
 
 
 def test_segment_rejects_zero_frames():
@@ -135,13 +142,13 @@ def test_exact_tie_broken_by_type_order():
     )
     cfg = DirectorConfig(saliency=weights)
     scene = make_scene([track_from_yaws("solo", {t: 0.0 for t in range(60)})], num_frames=60)
-    prev = Shot(
+    prev = ShotHypothesis(
         ShotType.TRACKING,
         0,
         30,
         (Viewport(Direction(0.0, 0.0), math.radians(75), cfg.aspect),) * 30,
-        1.0,
         ("solo",),
+        score=1.0,
     )
     shot = plan_next_shot(
         scene, (30, 60), VisitedHistory(), (ShotType.TRACKING,), cfg, prev=prev
@@ -259,3 +266,32 @@ def test_window_cap_respected_or_relaxed_over_long_run():
         window = types[max(0, i - CFG.occurrence_window) : i]
         if window.count(types[i]) >= CFG.occurrence_cap:
             assert out.records[i].relaxed
+
+
+def test_direct_interpolates_once_per_scene_and_tables_five_per_shot(monkeypatch):
+    # each object box is interpolated once per frame of the scene, and
+    # each shot builds one saliency table per shot type
+    calls = {"interpolated_bbox": 0, "saliency_table": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(autocam360.measures, "interpolated_bbox", "interpolated_bbox")
+    counted(autocam360.director, "saliency_table", "saliency_table")
+    counted(autocam360.hypotheses, "saliency_table", "saliency_table")
+    rng = random.Random(5)
+    tracks = [
+        track_from_yaws(f"o{i}", {t: rng.uniform(-150, 150) + 0.2 * t for t in range(0, 270, 2)})
+        for i in range(4)
+    ]
+    scene = make_scene(tracks, num_frames=270)
+    out = direct(scene, CFG)
+    assert len(out.shots) == 3
+    assert calls["interpolated_bbox"] == len(scene.objects) * scene.num_frames
+    assert calls["saliency_table"] == 5 * len(out.shots)

@@ -13,9 +13,10 @@ from autocam360.hypotheses import (
     ShotHypothesis,
     centered_weight,
     generate_hypotheses,
+    saliency_table,
     score_hypothesis,
 )
-from autocam360.measures import VisitedHistory, compute_measures
+from autocam360.measures import VisitedHistory, compute_measures, frame_positions
 from autocam360.saliency import SaliencyWeights, ShotType
 from autocam360.tracks import ObjectTrack, Recommendation, Scene, TrackSample
 
@@ -24,8 +25,26 @@ from test_measures import box_at, make_scene, track_from_yaws, H, W
 CFG = DirectorConfig()
 
 
+def positions_for(scene, frame_range=(0, 30)):
+    return frame_positions(scene, frame_range, CFG.measures.interp_gap_frames)
+
+
+def table(m, scene, shot_type):
+    return saliency_table(m, scene, shot_type, CFG.saliency)
+
+
 def measures_for(scene, frame_range=(0, 30), history=None):
-    return compute_measures(scene, frame_range, history or VisitedHistory(), CFG.measures)
+    positions = positions_for(scene, frame_range)
+    return compute_measures(
+        scene, frame_range, positions, history or VisitedHistory(), CFG.measures
+    )
+
+
+def generate(shot_type, scene, frame_range, m, prev):
+    """generate_hypotheses with the range's own saliency table and positions."""
+    sal = table(m, scene, shot_type)
+    positions = positions_for(scene, frame_range)
+    return generate_hypotheses(shot_type, scene, frame_range, m, sal, positions, prev, CFG)
 
 
 def empty_scene(num_frames=30) -> Scene:
@@ -40,8 +59,8 @@ def test_empty_scene_only_pan_generates():
     scene = empty_scene()
     m = measures_for(scene)
     for shot_type in (ShotType.TRACKING, ShotType.STATIC, ShotType.MEDIUM, ShotType.RECOMMENDER):
-        assert generate_hypotheses(shot_type, scene, (0, 30), m, None, CFG) == []
-    pans = generate_hypotheses(ShotType.PAN, scene, (0, 30), m, None, CFG)
+        assert generate(shot_type, scene, (0, 30), m, None) == []
+    pans = generate(ShotType.PAN, scene, (0, 30), m, None)
     assert len(pans) == 2
 
 
@@ -49,7 +68,7 @@ def test_single_moving_human_gets_one_tracking_hypothesis():
     yaws = {t: 10.0 * t / 30.0 for t in range(30)}
     scene = make_scene([track_from_yaws("solo", yaws)])
     m = measures_for(scene)
-    hyps = generate_hypotheses(ShotType.TRACKING, scene, (0, 30), m, None, CFG)
+    hyps = generate(ShotType.TRACKING, scene, (0, 30), m, None)
     assert len(hyps) == 1
     assert hyps[0].target_ids == ("solo",)
     assert hyps[0].path[0].hfov == pytest.approx(math.radians(75.0))
@@ -68,7 +87,7 @@ def test_type_fovs_and_path_lengths():
         ShotType.PAN: 90.0,
     }
     for shot_type, fov in expected_fov.items():
-        for h in generate_hypotheses(shot_type, scene, (0, 30), m, None, CFG):
+        for h in generate(shot_type, scene, (0, 30), m, None):
             assert len(h.path) == 30
             assert all(vp.hfov == pytest.approx(math.radians(fov)) for vp in h.path)
             assert all(abs(vp.center.pitch) <= math.radians(45.0) + 1e-12 for vp in h.path)
@@ -85,7 +104,7 @@ def test_static_clusters_nearby_objects():
         ]
     )
     m = measures_for(scene)
-    hyps = generate_hypotheses(ShotType.STATIC, scene, (0, 30), m, None, CFG)
+    hyps = generate(ShotType.STATIC, scene, (0, 30), m, None)
     grouped = [h for h in hyps if len(h.target_ids) == 2]
     assert len(grouped) == 1
     assert grouped[0].target_ids == ("a", "b")
@@ -99,7 +118,7 @@ def test_pan_anchors_at_previous_end_and_sweeps_90():
     prev = ShotHypothesis(
         ShotType.TRACKING, 0, 30, (Viewport(prev_end, math.radians(75), 16 / 9),) * 30
     )
-    hyps = generate_hypotheses(ShotType.PAN, scene, (30, 60), m, prev, CFG)
+    hyps = generate(ShotType.PAN, scene, (30, 60), m, prev)
     for h, sign in zip(hyps, (1.0, -1.0)):
         assert h.path[0].center.yaw == pytest.approx(math.radians(50.0), abs=1e-12)
         end_yaw = h.path[-1].center.yaw
@@ -117,7 +136,7 @@ def test_recommender_follows_annotations():
     recs = tuple(Recommendation(t, 5.0 + 0.5 * t, 0.0) for t in range(30))
     scene = Scene(30.0, W, H, 30, (), recs)
     m = measures_for(scene)
-    hyps = generate_hypotheses(ShotType.RECOMMENDER, scene, (0, 30), m, None, CFG)
+    hyps = generate(ShotType.RECOMMENDER, scene, (0, 30), m, None)
     assert len(hyps) == 2
 
     # independent smoothing recurrence over the annotated directions
@@ -142,11 +161,11 @@ def test_recommender_requires_coverage():
     recs = (Recommendation(0, 0.0, 0.0), Recommendation(9, 10.0, 0.0))
     scene = Scene(30.0, W, H, 30, (), recs)
     m = measures_for(scene)
-    assert generate_hypotheses(ShotType.RECOMMENDER, scene, (0, 30), m, None, CFG) == []
+    assert generate(ShotType.RECOMMENDER, scene, (0, 30), m, None) == []
     # spanning over half of it: eligible
     recs = (Recommendation(0, 0.0, 0.0), Recommendation(16, 10.0, 0.0))
     scene = Scene(30.0, W, H, 30, (), recs)
-    assert len(generate_hypotheses(ShotType.RECOMMENDER, scene, (0, 30), m, None, CFG)) == 2
+    assert len(generate(ShotType.RECOMMENDER, scene, (0, 30), m, None)) == 2
 
 
 def test_low_presence_objects_not_targeted():
@@ -158,7 +177,7 @@ def test_low_presence_objects_not_targeted():
     )
     m = measures_for(scene)
     assert "ghost" in m  # measured
-    hyps = generate_hypotheses(ShotType.MEDIUM, scene, (0, 30), m, None, CFG)
+    hyps = generate(ShotType.MEDIUM, scene, (0, 30), m, None)
     assert all(h.target_ids == ("solid",) for h in hyps)
 
 
@@ -171,8 +190,8 @@ def test_generation_deterministic():
     scene = make_scene(tracks)
     m = measures_for(scene)
     for shot_type in ShotType:
-        a = generate_hypotheses(shot_type, scene, (0, 30), m, None, CFG)
-        b = generate_hypotheses(shot_type, scene, (0, 30), m, None, CFG)
+        a = generate(shot_type, scene, (0, 30), m, None)
+        b = generate(shot_type, scene, (0, 30), m, None)
         assert a == b
 
 
@@ -188,7 +207,7 @@ def test_hypothesis_invariants_on_randomized_scenes():
         scene = make_scene(tracks)
         m = measures_for(scene)
         for shot_type in ShotType:
-            for h in generate_hypotheses(shot_type, scene, (0, 30), m, None, CFG):
+            for h in generate(shot_type, scene, (0, 30), m, None):
                 assert len(h.path) == h.end - h.start
                 assert len({vp.hfov for vp in h.path}) == 1
                 assert h.path[0].hfov == pytest.approx(
@@ -230,7 +249,7 @@ def test_empty_scene_scores_zero():
     scene = empty_scene()
     m = measures_for(scene)
     h = _const_hypothesis(ShotType.STATIC, Direction(0, 0))
-    scored = score_hypothesis(h, scene, m, None, CFG.saliency, CFG)
+    scored = score_hypothesis(h, table(m, scene, h.shot_type), positions_for(scene), None, CFG)
     assert scored.raw_score == 0.0
     assert scored.penalty == 0.0
     assert scored.score == 0.0
@@ -238,12 +257,13 @@ def test_empty_scene_scores_zero():
 
 def test_jump_cut_penalty_is_exactly_half():
     scene = empty_scene(num_frames=60)
-    m = compute_measures(scene, (30, 60), VisitedHistory(), CFG.measures) if scene.objects else {}
+    m = measures_for(scene, (30, 60)) if scene.objects else {}
     prev = _const_hypothesis(ShotType.STATIC, Direction(0.0, 0.0), 0, 30)
     near = _const_hypothesis(ShotType.MEDIUM, Direction(math.radians(20.0), 0.0), 30, 60)
     far = _const_hypothesis(ShotType.MEDIUM, Direction(math.radians(40.0), 0.0), 30, 60)
-    s_near = score_hypothesis(near, scene, m, prev, CFG.saliency, CFG)
-    s_far = score_hypothesis(far, scene, m, prev, CFG.saliency, CFG)
+    positions = positions_for(scene, (30, 60))
+    s_near = score_hypothesis(near, table(m, scene, near.shot_type), positions, prev, CFG)
+    s_far = score_hypothesis(far, table(m, scene, far.shot_type), positions, prev, CFG)
     assert s_near.penalty == 0.5
     assert s_far.penalty == 0.0
     assert s_far.score - s_near.score == 0.5
@@ -253,7 +273,7 @@ def test_zero_distance_cut_not_penalized():
     scene = empty_scene(num_frames=60)
     prev = _const_hypothesis(ShotType.STATIC, Direction(0.3, 0.1), 0, 30)
     same = _const_hypothesis(ShotType.MEDIUM, Direction(0.3, 0.1), 30, 60)
-    scored = score_hypothesis(same, scene, {}, prev, CFG.saliency, CFG)
+    scored = score_hypothesis(same, {}, {}, prev, CFG)
     assert scored.penalty == 0.0
 
 
@@ -266,8 +286,8 @@ def test_tracking_continuation_exempt_from_jump_cut():
     other = _const_hypothesis(
         ShotType.TRACKING, Direction(math.radians(20.0), 0.0), 30, 60, targets=("b",)
     )
-    assert score_hypothesis(cont, scene, {}, prev, CFG.saliency, CFG).penalty == 0.0
-    assert score_hypothesis(other, scene, {}, prev, CFG.saliency, CFG).penalty == 0.5
+    assert score_hypothesis(cont, {}, {}, prev, CFG).penalty == 0.0
+    assert score_hypothesis(other, {}, {}, prev, CFG).penalty == 0.5
 
 
 def test_raw_score_nonnegative_and_penalty_binary():
@@ -281,8 +301,9 @@ def test_raw_score_nonnegative_and_penalty_binary():
     m = measures_for(scene)
     prev = _const_hypothesis(ShotType.STATIC, Direction(0.0, 0.0))
     for shot_type in ShotType:
-        for h in generate_hypotheses(shot_type, scene, (0, 30), m, prev, CFG):
-            scored = score_hypothesis(h, scene, m, prev, CFG.saliency, CFG)
+        for h in generate(shot_type, scene, (0, 30), m, prev):
+            sal = table(m, scene, shot_type)
+            scored = score_hypothesis(h, sal, positions_for(scene), prev, CFG)
             assert scored.raw_score >= 0.0
             assert scored.penalty in (0.0, CFG.jump_cut_penalty)
             assert scored.score == scored.raw_score - scored.penalty
@@ -292,12 +313,14 @@ def test_raising_target_saliency_never_lowers_raw_score():
     yaws = {t: 15.0 for t in range(30)}
     scene = make_scene([track_from_yaws("a", yaws)])
     m = measures_for(scene)
-    h = generate_hypotheses(ShotType.TRACKING, scene, (0, 30), m, None, CFG)[0]
-    base = score_hypothesis(h, scene, m, None, CFG.saliency, CFG).raw_score
+    h = generate(ShotType.TRACKING, scene, (0, 30), m, None)[0]
+    sal = table(m, scene, h.shot_type)
+    base = score_hypothesis(h, sal, positions_for(scene), None, CFG).raw_score
     import dataclasses
 
     bumped = {"a": dataclasses.replace(m["a"], size=min(1.0, m["a"].size + 0.3))}
-    higher = score_hypothesis(h, scene, bumped, None, CFG.saliency, CFG).raw_score
+    sal = table(bumped, scene, h.shot_type)
+    higher = score_hypothesis(h, sal, positions_for(scene), None, CFG).raw_score
     assert higher >= base
 
 

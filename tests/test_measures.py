@@ -13,6 +13,7 @@ from autocam360.measures import (
     ObjectMeasures,
     VisitedHistory,
     compute_measures,
+    frame_positions,
     update_history,
     visited_score,
 )
@@ -43,9 +44,15 @@ def make_scene(tracks, num_frames=30, fps=30.0) -> Scene:
 CFG = MeasureConfig()
 
 
+def measure(scene, frame_range, history, cfg=CFG):
+    """compute_measures over the range's own position table."""
+    positions = frame_positions(scene, frame_range, cfg.interp_gap_frames)
+    return compute_measures(scene, frame_range, positions, history, cfg)
+
+
 def test_single_stationary_object_degenerate_cases():
     scene = make_scene([track_from_yaws("a", {t: 30.0 for t in range(30)})])
-    m = compute_measures(scene, (0, 30), VisitedHistory(), CFG)["a"]
+    m = measure(scene, (0, 30), VisitedHistory(), CFG)["a"]
     assert m.motion == 0.0
     assert m.neighbourhood == 1.0
     assert m.visited == 0.0
@@ -55,12 +62,12 @@ def test_single_stationary_object_degenerate_cases():
 
 def test_size_measure_closed_form():
     scene = make_scene([track_from_yaws("a", {t: 0.0 for t in range(30)})])
-    m = compute_measures(scene, (0, 30), VisitedHistory(), CFG)["a"]
+    m = measure(scene, (0, 30), VisitedHistory(), CFG)["a"]
     omega = bbox_solid_angle(box_at(0.0, 0.0), W, H)
     assert m.size == pytest.approx(omega / OMEGA_REF_30DEG, abs=1e-12)
     # a 30x30 degree equatorial box saturates to exactly the reference
     big = make_scene([ObjectTrack("a", "human", (TrackSample(0, box_at(0, 0, 30.0)),))])
-    m = compute_measures(big, (0, 1), VisitedHistory(), CFG)["a"]
+    m = measure(big, (0, 1), VisitedHistory(), CFG)["a"]
     assert m.size == pytest.approx(1.0, abs=1e-12)
 
 
@@ -68,14 +75,14 @@ def test_motion_closed_form_10_deg_per_s():
     # 10 deg/s at 30 fps: consecutive equatorial centers 1/3 degree apart
     yaws = {t: 10.0 * t / 30.0 for t in range(30)}
     scene = make_scene([track_from_yaws("a", yaws)])
-    m = compute_measures(scene, (0, 30), VisitedHistory(), CFG)["a"]
+    m = measure(scene, (0, 30), VisitedHistory(), CFG)["a"]
     assert m.motion == pytest.approx(10.0 / (10.0 + 20.0), abs=1e-9)
 
 
 def test_neighbourhood_30_degree_separation_is_half():
     a = track_from_yaws("a", {t: -15.0 for t in range(30)})
     b = track_from_yaws("b", {t: 15.0 for t in range(30)})
-    measures = compute_measures(make_scene([a, b]), (0, 30), VisitedHistory(), CFG)
+    measures = measure(make_scene([a, b]), (0, 30), VisitedHistory(), CFG)
     assert measures["a"].neighbourhood == pytest.approx(0.5, abs=1e-9)
     assert measures["b"].neighbourhood == pytest.approx(0.5, abs=1e-9)
 
@@ -123,15 +130,15 @@ def test_visited_newer_slot_weighs_more():
 def test_empty_range_rejected():
     scene = make_scene([track_from_yaws("a", {0: 0.0})])
     with pytest.raises(ValueError):
-        compute_measures(scene, (10, 10), VisitedHistory(), CFG)
+        compute_measures(scene, (10, 10), {}, VisitedHistory(), CFG)
     with pytest.raises(ValueError):
-        compute_measures(scene, (0, 99), VisitedHistory(), CFG)
+        compute_measures(scene, (0, 99), {}, VisitedHistory(), CFG)
 
 
 def test_absent_object_not_emitted():
     a = track_from_yaws("a", {0: 0.0, 5: 0.0})
     b = track_from_yaws("b", {25: 40.0})
-    measures = compute_measures(make_scene([a, b]), (10, 20), VisitedHistory(), CFG)
+    measures = measure(make_scene([a, b]), (10, 20), VisitedHistory(), CFG)
     assert "a" not in measures  # last sample before the range
     assert "b" not in measures  # first sample after the range
 
@@ -139,8 +146,8 @@ def test_absent_object_not_emitted():
 def test_measures_independent_of_object_order():
     a = track_from_yaws("a", {t: -20.0 for t in range(30)})
     b = track_from_yaws("b", {t: 25.0 for t in range(30)})
-    m1 = compute_measures(make_scene([a, b]), (0, 30), VisitedHistory(), CFG)
-    m2 = compute_measures(make_scene([b, a]), (0, 30), VisitedHistory(), CFG)
+    m1 = measure(make_scene([a, b]), (0, 30), VisitedHistory(), CFG)
+    m2 = measure(make_scene([b, a]), (0, 30), VisitedHistory(), CFG)
     assert m1 == m2
 
 
@@ -160,14 +167,16 @@ def _const_path(center: Direction, n: int) -> tuple[Viewport, ...]:
 def test_update_history_object_at_center_is_fully_visible():
     scene = make_scene([track_from_yaws("a", {t: 30.0 for t in range(30)})])
     shot = _FakeShot(0, 30, _const_path(Direction(math.radians(30), 0.0), 30))
-    h = update_history(VisitedHistory(), shot, scene)
+    positions = frame_positions(scene, (0, 30), CFG.interp_gap_frames)
+    h = update_history(VisitedHistory(), shot, positions)
     assert h.entries[-1]["a"] == 1.0
 
 
 def test_update_history_antipodal_object_invisible():
     scene = make_scene([track_from_yaws("a", {t: 150.0 for t in range(30)})])
     shot = _FakeShot(0, 30, _const_path(Direction(math.radians(-30.0), 0.0), 30))
-    h = update_history(VisitedHistory(), shot, scene)
+    positions = frame_positions(scene, (0, 30), CFG.interp_gap_frames)
+    h = update_history(VisitedHistory(), shot, positions)
     assert h.entries[-1]["a"] == 0.0
 
 
@@ -177,7 +186,8 @@ def test_update_history_half_visible():
     # avoid interpolation between 0 and 150: adjacent samples every frame
     scene = make_scene([track_from_yaws("a", yaws)], num_frames=31)
     shot = _FakeShot(0, 30, _const_path(Direction(0.0, 0.0), 30))
-    h = update_history(VisitedHistory(), shot, scene)
+    positions = frame_positions(scene, (0, 30), CFG.interp_gap_frames)
+    h = update_history(VisitedHistory(), shot, positions)
     # brute-force count with the projection itself
     vp = shot.path[0]
     from autocam360.geometry import project_to_viewport
@@ -200,7 +210,7 @@ def test_motion_strictly_monotone_in_rate():
     for rate in rates:
         yaws = {t: rate * t / 30.0 for t in range(30)}
         scene = make_scene([track_from_yaws("a", yaws)])
-        got.append(compute_measures(scene, (0, 30), VisitedHistory(), CFG)["a"].motion)
+        got.append(measure(scene, (0, 30), VisitedHistory(), CFG)["a"].motion)
     for lo, hi in zip(got, got[1:]):
         assert hi > lo
 
@@ -212,3 +222,13 @@ def test_measure_validation():
         ObjectMeasures(0.5, 0, 0, 0, Direction(0, 0), 0.0)
     with pytest.raises(ValueError):
         MeasureConfig(history_len=0)
+
+
+def test_positions_must_cover_the_range():
+    scene = make_scene([track_from_yaws("a", {t: 0.0 for t in range(30)})])
+    short = frame_positions(scene, (0, 10), CFG.interp_gap_frames)
+    with pytest.raises(ValueError, match="cover"):
+        compute_measures(scene, (0, 30), short, VisitedHistory(), CFG)
+    shot = _FakeShot(0, 30, _const_path(Direction(0.0, 0.0), 30))
+    with pytest.raises(ValueError, match="cover"):
+        update_history(VisitedHistory(), shot, short)
