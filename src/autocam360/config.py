@@ -8,6 +8,7 @@ defaults below.  Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -57,8 +58,13 @@ class DirectorConfig:
         for t in ShotType:
             if t not in self.fov_deg:
                 raise ConfigError(f"fov_deg missing entry for '{t.value}'")
-            if not 0.0 < self.fov_deg[t] < 180.0:
-                raise ConfigError(f"fov_deg['{t.value}'] must be in (0, 180)")
+            # checked in radians, the unit viewports use: a tiny angle in
+            # degrees can round to 0 rad
+            if not 0.0 < math.radians(self.fov_deg[t]) < math.pi:
+                raise ConfigError(
+                    f"fov_deg['{t.value}'] must be in (0, 180) and nonzero in radians, "
+                    f"got {self.fov_deg[t]!r}"
+                )
         if self.aspect <= 0:
             raise ConfigError("aspect must be positive")
         if self.max_hypotheses_per_type < 1:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .config import DirectorConfig
+from .config import DirectorConfig, _scalar
 from .geometry import Direction, Viewport
 from .hypotheses import (
     ShotHypothesis,
@@ -264,7 +264,8 @@ def parse_camera_path(document: bytes | str, aspect: float) -> tuple[float, list
     """Read a camera-path file back as (fps, per-frame viewports, shot rows).
 
     `aspect` supplies the output aspect ratio (the file stores only the
-    horizontal FOV).  A path with no frames is rejected.
+    horizontal FOV).  ``fps`` must be a positive finite number and every
+    frame's angles finite numbers.  A path with no frames is rejected.
     """
     try:
         data = json.loads(document)
@@ -272,16 +273,20 @@ def parse_camera_path(document: bytes | str, aspect: float) -> tuple[float, list
         raise CameraPathError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise CameraPathError(f"camera path is not UTF-8 text: {exc}") from exc
     try:
-        fps = float(data["fps"])
-        frames = [
-            Viewport(
-                Direction(math.radians(f["yaw_deg"]), math.radians(f["pitch_deg"])),
-                math.radians(f["hfov_deg"]),
-                aspect,
+        # the config's number check: a finite JSON number, not a bool or string
+        fps = _scalar(data["fps"], "float", "fps")
+        if fps <= 0.0:
+            raise ValueError(f"fps must be positive, got {fps!r}")
+        frames = []
+        for i, f in enumerate(data["frames"]):
+            yaw, pitch, hfov = (
+                math.radians(_scalar(f[k], "float", f"frame {i} {k}"))
+                for k in ("yaw_deg", "pitch_deg", "hfov_deg")
             )
-            for f in data["frames"]
-        ]
+            frames.append(Viewport(Direction(yaw, pitch), hfov, aspect))
         shots = list(data.get("shots", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise CameraPathError(f"malformed camera-path document: {exc}") from exc

@@ -28,6 +28,10 @@ from .geometry import (
 )
 from .tracks import Scene, interpolated_bbox
 
+# longest visited history a config may ask for; visited_score sums over
+# the whole capacity for every object of every shot
+MAX_HISTORY_LEN = 1000
+
 # solid angle of a 30 x 30 degree patch straddling the equator
 OMEGA_REF_30DEG: float = (math.pi / 6.0) * 2.0 * math.sin(math.pi / 12.0)
 
@@ -45,8 +49,8 @@ class MeasureConfig:
     def __post_init__(self) -> None:
         if self.size_ref_sr <= 0 or self.motion_ref_deg_s <= 0 or self.neighbour_ref_deg <= 0:
             raise ValueError("measure reference constants must be positive")
-        if self.history_len < 1:
-            raise ValueError("history_len must be >= 1")
+        if not 1 <= self.history_len <= MAX_HISTORY_LEN:
+            raise ValueError(f"history_len must be in [1, {MAX_HISTORY_LEN}]")
         if not 0.0 < self.visited_decay <= 1.0:
             raise ValueError("visited_decay must be in (0, 1]")
         if not 0.0 <= self.min_presence <= 1.0:

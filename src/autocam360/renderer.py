@@ -11,10 +11,18 @@ selected at import time; ``KERNEL_BACKEND`` names the active one ("c" or
 "numpy").  Both produce byte-identical frames, and rendering is
 deterministic regardless of pixel iteration order.
 
+Source frames are mapped, not copied: :func:`read_image` maps a file
+copy-on-write and :func:`decode_ppm` returns a view of the payload, so a
+viewport faults in only the source pages it samples.  Decoded file
+pixels are writable and writes never reach the file; pixels decoded
+from ``bytes`` are read-only views.  A source file truncated while it is
+being rendered ends the process with SIGBUS, as any mapped file does.
+
 Sample coordinates depend only on the viewport and the frame sizes, so
 :func:`render_sequence` computes them once per run of frames that share
 a viewport, and keeps the per-FOV ray grids for the length of the call.
-Nothing is cached between calls.
+They are evaluated in blocks of ``BLOCK`` output pixels, whose
+temporaries stay in cache.  Nothing is cached between calls.
 
 Images are PPM "P6" (binary, maxval 255) end to end; video encode/decode
 is left to external tools.
@@ -23,6 +31,8 @@ is left to external tools.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,33 +89,41 @@ class Image:
 # PPM I/O
 
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")  # what bytes.isspace() accepts
+
+
+def _next_token(buf: memoryview, pos: int) -> tuple[bytes, int]:
     n = len(buf)
     while pos < n:
-        c = buf[pos : pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos : pos + 1] not in (b"\n", b"\r"):
+        c = buf[pos]
+        if c == ord("#"):
+            while pos < n and buf[pos] not in b"\n\r":
                 pos += 1
-        elif c.isspace():
+        elif c in _WHITESPACE:
             pos += 1
         else:
             break
     if pos >= n:
         raise ImageFormatError(f"truncated header at byte {pos}")
     start = pos
-    while pos < n and not buf[pos : pos + 1].isspace() and buf[pos : pos + 1] != b"#":
+    while pos < n and buf[pos] not in _WHITESPACE and buf[pos] != ord("#"):
         pos += 1
-    return buf[start:pos], pos
+    return bytes(buf[start:pos]), pos
 
 
-def decode_ppm(buf: bytes) -> Image:
-    """Parse binary PPM ("P6", maxval 255)."""
-    magic, pos = _next_token(buf, 0)
+def decode_ppm(buf) -> Image:
+    """Parse binary PPM ("P6", maxval 255) from any bytes-like buffer.
+
+    The pixels are a view of `buf`, not a copy: they are writable exactly
+    when `buf` is, and they keep `buf` alive.
+    """
+    view = memoryview(buf).cast("B")
+    magic, pos = _next_token(view, 0)
     if magic != b"P6":
         raise ImageFormatError(f"bad magic {magic!r}, expected b'P6'")
     fields = []
     for name in ("width", "height", "maxval"):
-        token, pos = _next_token(buf, pos)
+        token, pos = _next_token(view, pos)
         try:
             fields.append(int(token))
         except ValueError:
@@ -117,14 +135,13 @@ def decode_ppm(buf: bytes) -> Image:
         raise ImageFormatError(f"unsupported maxval {maxval}, only 255 is handled")
     pos += 1  # exactly one whitespace byte separates header from payload
     need = width * height * 3
-    payload = buf[pos : pos + need]
-    if len(payload) < need:
+    got = max(0, min(need, len(view) - pos))
+    if got < need:
         raise ImageFormatError(
-            f"truncated pixel data at byte {pos + len(payload)}: "
-            f"expected {need} bytes, got {len(payload)}"
+            f"truncated pixel data at byte {pos + got}: expected {need} bytes, got {got}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
-    return Image(width, height, pixels)
+    pixels = np.frombuffer(view, dtype=np.uint8, count=need, offset=pos)
+    return Image(width, height, pixels.reshape(height, width, 3))
 
 
 def encode_ppm(img: Image) -> bytes:
@@ -133,10 +150,19 @@ def encode_ppm(img: Image) -> bytes:
 
 
 def read_image(source: bytes | str | Path) -> Image:
-    """Read a P6 image from raw bytes or from a file path."""
+    """Read a P6 image from raw bytes or from a file path.
+
+    A file is mapped copy-on-write rather than read, so only the pages
+    that are sampled are ever loaded; its pixels are writable, and writes
+    to them never reach the file.  Pixels decoded from ``bytes`` are
+    read-only views of them.
+    """
     if isinstance(source, bytes):
         return decode_ppm(source)
-    return decode_ppm(Path(source).read_bytes())
+    with open(Path(source), "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return decode_ppm(b"")
+        return decode_ppm(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY))
 
 
 def write_image(img: Image, dest: str | Path | None = None) -> bytes:
@@ -182,24 +208,40 @@ def _ray_grid(out_w: int, out_h: int, hfov: float, aspect: float, cache: dict | 
     return grid
 
 
+# output pixels per _sample_coords block: a multiple of 64, small enough
+# that a block's float64 temporaries stay in cache
+BLOCK = 8192
+
+
 def _sample_coords(
     vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int, *, rays: dict | None = None
 ):
     """Continuous equirect sample coordinates for every output pixel.
 
     `rays` is an optional ray-grid cache owned by the caller (see
-    :func:`_ray_grid`); without it the grid is computed afresh.
+    :func:`_ray_grid`); without it the grid is computed afresh.  The
+    expressions are evaluated over runs of BLOCK pixels, which gives the
+    same values element for element as evaluating them over the whole
+    grid at once, at a fraction of the memory traffic.
     """
-    xn, yn, zn = _ray_grid(out_w, out_h, vp.hfov, vp.aspect, rays)
+    xn, yn, zn = (g.ravel() for g in _ray_grid(out_w, out_h, vp.hfov, vp.aspect, rays))
     right, up, forward = _camera_basis(vp.center)
-    wx = xn * right[0] + yn * up[0] + zn * forward[0]
-    wy = xn * right[1] + yn * up[1] + zn * forward[1]
-    wz = xn * right[2] + yn * up[2] + zn * forward[2]
-    yaw = np.arctan2(wx, wz)
-    pitch = np.arcsin(np.clip(wy, -1.0, 1.0))
-    px = (yaw + math.pi) * (src_w / TWO_PI)
-    py = ((0.5 * math.pi) - pitch) * (src_h / math.pi)
-    return px.ravel(), py.ravel()
+    x_scale = src_w / TWO_PI
+    y_scale = src_h / math.pi
+    n = xn.shape[0]
+    px = np.empty(n)
+    py = np.empty(n)
+    for lo in range(0, n, BLOCK):
+        b = slice(lo, lo + BLOCK)
+        xb, yb, zb = xn[b], yn[b], zn[b]
+        wx = xb * right[0] + yb * up[0] + zb * forward[0]
+        wy = xb * right[1] + yb * up[1] + zb * forward[1]
+        wz = xb * right[2] + yb * up[2] + zb * forward[2]
+        yaw = np.arctan2(wx, wz)
+        pitch = np.arcsin(np.clip(wy, -1.0, 1.0))
+        np.multiply(yaw + math.pi, x_scale, out=px[b])
+        np.multiply((0.5 * math.pi) - pitch, y_scale, out=py[b])
+    return px, py
 
 
 def _check_output_size(vp: Viewport, out_w: int, out_h: int) -> None:

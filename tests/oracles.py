@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from autocam360.geometry import Direction, Viewport
+from autocam360.geometry import TWO_PI, Direction, Viewport, _camera_basis
+from autocam360.renderer import _ray_grid
 
 
 def stable_angle(a: Direction, b: Direction) -> float:
@@ -66,3 +67,19 @@ def slerp(d1: Direction, d2: Direction, t: float) -> Direction:
         return d1
     w = (math.sin((1.0 - t) * omega) * u + math.sin(t * omega) * v) / math.sin(omega)
     return Direction(math.atan2(w[0], w[2]), math.asin(float(np.clip(w[1], -1, 1))))
+
+
+def reference_sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
+    """Equirect sample coordinates evaluated over the whole output grid at
+    once: the unblocked form that ``renderer._sample_coords`` must equal
+    element for element."""
+    xn, yn, zn = _ray_grid(out_w, out_h, vp.hfov, vp.aspect)
+    right, up, forward = _camera_basis(vp.center)
+    wx = xn * right[0] + yn * up[0] + zn * forward[0]
+    wy = xn * right[1] + yn * up[1] + zn * forward[1]
+    wz = xn * right[2] + yn * up[2] + zn * forward[2]
+    yaw = np.arctan2(wx, wz)
+    pitch = np.arcsin(np.clip(wy, -1.0, 1.0))
+    px = (yaw + math.pi) * (src_w / TWO_PI)
+    py = ((0.5 * math.pi) - pitch) * (src_h / math.pi)
+    return px.ravel(), py.ravel()

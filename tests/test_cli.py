@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import autocam360
 from autocam360.cli import main
-from autocam360.renderer import read_image
+from autocam360.renderer import Image, read_image, write_image
 from autocam360.synth import ScenarioSpec, ActorSpec, scenario_to_document
 
 SCENARIO = scenario_to_document(
@@ -116,6 +122,54 @@ def test_empty_camera_path_exits_2(workspace, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: camera path has no frames\n"
     assert "rendered" not in captured.out
+
+
+def _two_frame_path(workspace, **overrides):
+    path_file = workspace / "path.json"
+    frame = {"yaw_deg": 0.0, "pitch_deg": 0.0, "hfov_deg": 75.0}
+    path_file.write_text(json.dumps({"fps": 10.0, "frames": [frame, frame], **overrides}))
+    return path_file
+
+
+def test_render_truncated_source_exits_2(workspace, capsys):
+    frames = workspace / "frames"
+    frames.mkdir()
+    img = Image(8, 4, np.zeros((4, 8, 3), dtype=np.uint8))
+    write_image(img, frames / "frame_000000.ppm")
+    data = write_image(img, frames / "frame_000001.ppm")
+    (frames / "frame_000001.ppm").write_bytes(data[:-10])
+    rc = main(["render", "--frames", str(frames), "--path", str(_two_frame_path(workspace)),
+               "--out", str(workspace / "out"), "--size", "160x90"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: frame 1: truncated pixel data at byte 97: expected 96 bytes, got 86\n"
+    )
+
+
+def test_malformed_camera_path_exits_2(workspace, capsys):
+    frames = workspace / "frames"
+    frames.mkdir()
+    rc = main(["render", "--frames", str(frames), "--path",
+               str(_two_frame_path(workspace, fps="nan")),
+               "--out", str(workspace / "out"), "--size", "160x90"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: malformed camera-path document: fps must be a finite number, got 'nan'\n"
+    )
+
+
+def test_import_loads_no_pool_modules():
+    # importing the package must stay cheap: no executor or process pool
+    src = Path(autocam360.__file__).parent.parent
+    code = (
+        "import sys, autocam360; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_usage_error_exits_1(capsys):

@@ -128,6 +128,26 @@ def test_malformed_config_exits_2_with_one_error_line(tmp_path, capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# values of the right type that would stall or break planning later
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"measures": {"history_len": 1000000000}}',
+        '{"measures": {"history_len": 1001}}',
+        '{"fov_deg": {"tracking": 5e-324}}',
+        '{"fov_deg": {"recommender": 1e-323}}',
+    ],
+)
+def test_values_that_stop_planning_exit_2_with_one_error_line(tmp_path, capsys, text):
+    test_malformed_config_exits_2_with_one_error_line(tmp_path, capsys, text)
+
+
+def test_bounds_at_the_limits_still_load():
+    cfg = config_from_dict({"measures": {"history_len": 1000}, "fov_deg": {"pan": 1e-300}})
+    assert cfg.measures.history_len == 1000
+    assert cfg.fov_deg[ShotType.PAN] == 1e-300
+
+
 def test_scalar_types_are_strict():
     with pytest.raises(ConfigError, match="boolean"):
         config_from_dict({"no_repeat": 0})

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import autocam360.director
 import autocam360.hypotheses
 import autocam360.measures
 from autocam360.config import DirectorConfig
 from autocam360.director import (
+    CameraPathError,
     direct,
     eligible_types,
     output_to_document,
@@ -254,6 +258,67 @@ def test_camera_path_round_trip():
         assert got.hfov == pytest.approx(want.hfov, abs=1e-12)
     assert shots[0]["type"] == out.shots[0].shot_type.value
     assert {"start", "end", "type", "score", "targets", "relaxed"} <= set(shots[0])
+
+
+def _path_document(fps=30.0, **frame):
+    return json.dumps(
+        {"fps": fps, "frames": [{"yaw_deg": 10.0, "pitch_deg": -5.0, "hfov_deg": 75.0, **frame}]}
+    )
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        _path_document(fps="nan"),
+        _path_document(fps=0),
+        _path_document(fps=-30.0),
+        '{"fps": 1e999, "frames": [{"yaw_deg": 0, "pitch_deg": 0, "hfov_deg": 60}]}',
+        '{"fps": NaN, "frames": [{"yaw_deg": 0, "pitch_deg": 0, "hfov_deg": 60}]}',
+        _path_document(fps="30"),
+        _path_document(fps=True),
+        _path_document(hfov_deg=True),
+        _path_document(yaw_deg="10"),
+        _path_document(pitch_deg=None),
+        _path_document(yaw_deg=10**400),
+        b"\xff",
+    ],
+)
+def test_camera_path_values_are_strict(document):
+    with pytest.raises(CameraPathError):
+        parse_camera_path(document, aspect=CFG.aspect)
+
+
+def test_camera_path_accepts_integer_numbers():
+    fps, viewports, _ = parse_camera_path(_path_document(fps=24, yaw_deg=10), aspect=CFG.aspect)
+    assert fps == 24.0 and isinstance(fps, float)
+    assert viewports[0].center.yaw == pytest.approx(math.radians(10), abs=1e-15)
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0, 30, 60.0, -95.0, 10**400, "30", "nan"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["fps", "frames", "shots", "yaw_deg", "pitch_deg", "hfov_deg", "x"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@given(_JSON)
+def test_parse_camera_path_raises_only_camera_path_error(data):
+    try:
+        fps, viewports, shots = parse_camera_path(json.dumps(data), aspect=CFG.aspect)
+    except CameraPathError:
+        return
+    assert math.isfinite(fps) and fps > 0
+    assert viewports and isinstance(shots, list)
 
 
 def test_window_cap_respected_or_relaxed_over_long_run():

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from autocam360.config import DirectorConfig, config_from_dict
-from autocam360.director import direct, output_to_document
+from autocam360.director import direct, output_to_document, parse_camera_path
 from autocam360.geometry import EquirectBBox
 from autocam360.saliency import SaliencyWeights, ShotType, TypeWeights
 from autocam360.synth import ActorSpec, ScenarioSpec, synth_scene
@@ -142,6 +142,16 @@ def _document(name: str) -> str:
 def test_camera_path_matches_golden(name):
     want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert _document(name) == want
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_camera_path_parses_back(name):
+    scene, cfg = SCENES[name]()
+    out = direct(scene, cfg)
+    fps, viewports, shots = parse_camera_path(output_to_document(out), aspect=cfg.aspect)
+    assert fps == scene.fps
+    assert len(viewports) == len(out.camera_path) == scene.num_frames
+    assert len(shots) == len(out.shots)
 
 
 if __name__ == "__main__":

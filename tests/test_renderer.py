@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import oracle_project
+from oracles import oracle_project, reference_sample_coords
 
 from autocam360 import _resample, _resample_np, renderer
 from autocam360.geometry import Direction, Viewport, direction_to_equirect_pixel
@@ -20,6 +23,7 @@ from autocam360.renderer import (
     ImageFormatError,
     RenderError,
     _ray_grid,
+    _sample_coords,
     decode_ppm,
     encode_ppm,
     read_image,
@@ -91,6 +95,78 @@ def test_image_validation():
         Image(2, 2, np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         Image(2, 2, np.zeros((2, 2, 3), dtype=np.float32))
+
+
+# a 4x3 image's header is 11 bytes and its payload 36
+HEADER_4X3 = b"P6\n4 3\n255\n"
+
+
+def test_read_image_pixels_are_writable_and_writes_never_reach_the_file(tmp_path):
+    img = Image(4, 3, np.arange(36, dtype=np.uint8).reshape(3, 4, 3))
+    path = tmp_path / "src.ppm"
+    data = write_image(img, path)
+    got = read_image(path)
+    assert got == img
+    assert got.pixels.flags.writeable
+    got.pixels[:] = 255
+    assert path.read_bytes() == data
+    assert read_image(path) == img
+
+
+def test_read_image_from_bytes_is_a_read_only_view():
+    data = HEADER_4X3 + bytes(range(36))
+    img = read_image(data)
+    assert not img.pixels.flags.writeable
+    assert img.pixels.tobytes() == data[len(HEADER_4X3) :]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "truncated header at byte 0"),
+        (HEADER_4X3, "truncated pixel data at byte 11: expected 36 bytes, got 0"),
+        (HEADER_4X3[:-1], "truncated pixel data at byte 11: expected 36 bytes, got 0"),
+        (HEADER_4X3 + bytes(20), "truncated pixel data at byte 31: expected 36 bytes, got 20"),
+        (b"P6\n4 3", "truncated header at byte 6"),
+    ],
+)
+def test_malformed_files_raise_the_decode_messages(tmp_path, data, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(data)
+    for source in (path, data):
+        with pytest.raises(ImageFormatError) as info:
+            read_image(source)
+        assert str(info.value) == message
+
+
+_BUFFER_TYPES = st.sampled_from([bytes, bytearray, lambda b: memoryview(bytes(b))])
+_TOKENS = st.sampled_from([b"P6", b"P5", b"4", b"3", b"255", b"0", b"-1", b"65535", b"x", b"#c\n"])
+# documents that look like PPM headers, with arbitrary separators and payloads
+_PPM_LIKE = st.builds(
+    lambda tokens, sep, payload: sep.join(tokens) + sep + payload,
+    st.lists(_TOKENS, max_size=5),
+    st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#x\n", b""]),
+    st.binary(max_size=40),
+)
+
+
+@given(st.binary(max_size=64) | _PPM_LIKE, _BUFFER_TYPES)
+def test_decode_ppm_raises_only_image_format_error(data, buffer_type):
+    try:
+        img = decode_ppm(buffer_type(data))
+    except ImageFormatError:
+        return
+    assert img.pixels.nbytes == 3 * img.width * img.height
+
+
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9))
+    .flatmap(lambda hw: arrays(np.uint8, (*hw, 3)))
+    .map(lambda px: Image(px.shape[1], px.shape[0], px)),
+    _BUFFER_TYPES,
+)
+def test_decode_ppm_inverts_encode_ppm(img, buffer_type):
+    assert decode_ppm(buffer_type(encode_ppm(img))) == img
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +408,54 @@ def test_render_frames_dir_missing_frame_reports_index(tmp_path):
     vp = Viewport(Direction(0.0, 0.0), math.radians(75), VP_ASPECT)
     with pytest.raises(RenderError, match="frame 2"):
         render_frames_dir(in_dir, out_dir, [vp] * 3, 64, 36)
+
+
+# ---------------------------------------------------------------------------
+# blocked sample coordinates
+
+# pitches that reach the poles and yaws on both sides of the seam
+_PITCHES = st.floats(-math.pi / 2, math.pi / 2) | st.sampled_from(
+    [math.pi / 2, -math.pi / 2, math.radians(89.99), math.radians(-89.99)]
+)
+_YAWS = st.floats(-math.pi, math.pi) | st.sampled_from(
+    [math.pi, -math.pi, math.pi - 1e-9, -math.pi + 1e-9, 0.0]
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    yaw=_YAWS,
+    pitch=_PITCHES,
+    hfov=st.floats(0.01, 3.1),
+    aspect=st.floats(0.3, 4.0),
+    block=st.sampled_from([1, 7, 64, 8192]),
+    data=st.data(),
+)
+def test_blocked_sample_coords_equal_the_unblocked_reference(yaw, pitch, hfov, aspect, block, data):
+    # sizes are odd, smaller than a block and not multiples of 8; a block
+    # of one pixel keeps the grid small so the test stays quick
+    side = 40 if block == 1 else 200
+    out_w = data.draw(st.integers(1, side), label="out_w")
+    out_h = data.draw(st.integers(1, side), label="out_h")
+    src_w = data.draw(st.integers(1, 8000), label="src_w")
+    src_h = data.draw(st.integers(1, 4000), label="src_h")
+    _assert_blocked_equals_reference(
+        Viewport(Direction(yaw, pitch), hfov, aspect), out_w, out_h, src_w, src_h, block
+    )
+
+
+@pytest.mark.parametrize("block", [7, 64, 8192])
+@pytest.mark.parametrize("pitch_deg", [89.9, -90.0, 0.0])
+def test_blocked_sample_coords_at_a_rendered_size(pitch_deg, block):
+    # 640x360 from 3840x1920, facing the seam: many full blocks and a tail
+    vp = Viewport(Direction(math.pi, math.radians(pitch_deg)), math.radians(75), VP_ASPECT)
+    _assert_blocked_equals_reference(vp, 640, 360, 3840, 1920, block)
+
+
+def _assert_blocked_equals_reference(vp, out_w, out_h, src_w, src_h, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renderer, "BLOCK", block)
+        px, py = _sample_coords(vp, out_w, out_h, src_w, src_h)
+    want_x, want_y = reference_sample_coords(vp, out_w, out_h, src_w, src_h)
+    assert np.array_equal(px, want_x)
+    assert np.array_equal(py, want_y)
