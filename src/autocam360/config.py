@@ -91,7 +91,9 @@ class DirectorConfig:
 
 _SALIENCY_KEYS = {"type_weights", "visited_weight", "category_weights"}
 _TYPE_WEIGHT_KEYS = ("size", "motion", "isolation")
-_KIND_NAMES = {"bool": "a boolean", "int": "an integer", "float": "a finite number"}
+_KIND_NAMES = {
+    "bool": "a boolean", "int": "an integer", "float": "a finite number", "str": "a string"
+}
 
 
 def _shot_type(name: str) -> ShotType:
@@ -117,11 +119,13 @@ def _object(value, name: str) -> dict:
 
 
 def _scalar(value, kind: str, name: str):
-    """`value` as a field of declared type `kind` ("bool", "int" or
-    "float"): bools must be JSON booleans, ints JSON integers, and floats
-    finite numbers, integers included."""
+    """`value` as a field of declared type `kind` ("bool", "int", "float"
+    or "str"): bools must be JSON booleans, ints JSON integers, floats
+    finite numbers, integers included, and strings JSON strings."""
     if kind == "bool":
         ok = isinstance(value, bool)
+    elif kind == "str":
+        ok = isinstance(value, str)
     elif kind == "int":
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:  # NaN fails the comparison too

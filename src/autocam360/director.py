@@ -264,8 +264,9 @@ def parse_camera_path(document: bytes | str, aspect: float) -> tuple[float, list
     """Read a camera-path file back as (fps, per-frame viewports, shot rows).
 
     `aspect` supplies the output aspect ratio (the file stores only the
-    horizontal FOV).  ``fps`` must be a positive finite number and every
-    frame's angles finite numbers.  A path with no frames is rejected.
+    horizontal FOV).  ``fps`` must be a positive finite number, every
+    frame's angles finite numbers and the shot rows, when present, a list
+    of objects.  A path with no frames is rejected.
     """
     try:
         data = json.loads(document)
@@ -287,7 +288,9 @@ def parse_camera_path(document: bytes | str, aspect: float) -> tuple[float, list
                 for k in ("yaw_deg", "pitch_deg", "hfov_deg")
             )
             frames.append(Viewport(Direction(yaw, pitch), hfov, aspect))
-        shots = list(data.get("shots", []))
+        shots = data.get("shots", [])
+        if not isinstance(shots, list) or not all(isinstance(s, dict) for s in shots):
+            raise ValueError("shots must be a list of JSON objects")
     except (KeyError, TypeError, ValueError) as exc:
         raise CameraPathError(f"malformed camera-path document: {exc}") from exc
     if not frames:

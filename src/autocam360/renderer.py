@@ -20,9 +20,11 @@ being rendered ends the process with SIGBUS, as any mapped file does.
 
 Sample coordinates depend only on the viewport and the frame sizes, so
 :func:`render_sequence` computes them once per run of frames that share
-a viewport, and keeps the per-FOV ray grids for the length of the call.
-They are evaluated in blocks of ``BLOCK`` output pixels, whose
-temporaries stay in cache.  Nothing is cached between calls.
+a viewport.  They are computed in closed form from one vector of
+per-column and one of per-row terms; no ray grid is kept.  Yaw is the
+last term: it adds yaw·W/2π to every x.  They are evaluated in blocks of
+whole output rows (about ``BLOCK`` pixels), whose temporaries stay in
+cache.  Nothing is cached between calls.
 
 Images are PPM "P6" (binary, maxval 255) end to end; video encode/decode
 is left to external tools.
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _resample, _resample_np
-from .geometry import TWO_PI, Viewport, _camera_basis
+from .geometry import TWO_PI, Viewport
 
 try:
     _kernel = _resample.load_built()
@@ -178,70 +180,51 @@ def write_image(img: Image, dest: str | Path | None = None) -> bytes:
 # ---------------------------------------------------------------------------
 # rendering
 
-# ray grids a render_sequence call keeps: one per distinct FOV, bounded so
-# that a path whose FOV changes every frame holds at most this many
-RAY_GRIDS_KEPT = 4
-
-
-def _ray_grid(out_w: int, out_h: int, hfov: float, aspect: float, cache: dict | None = None):
-    """Normalized camera-frame rays through each output pixel center.
-
-    With a `cache` dict, grids are looked up and stored there, keyed by
-    the arguments; the oldest entry is dropped beyond RAY_GRIDS_KEPT.
-    """
-    key = (out_w, out_h, hfov, aspect)
-    if cache is not None and key in cache:
-        return cache[key]
-    half_w = math.tan(0.5 * hfov)
-    half_h = half_w / aspect
-    u = (np.arange(out_w, dtype=np.float64) + 0.5) / out_w
-    v = (np.arange(out_h, dtype=np.float64) + 0.5) / out_h
-    x = (u - 0.5) * (2.0 * half_w)
-    y = (0.5 - v) * (2.0 * half_h)
-    xg, yg = np.meshgrid(x, y)
-    norm = np.sqrt(xg * xg + yg * yg + 1.0)
-    grid = (xg / norm, yg / norm, 1.0 / norm)
-    if cache is not None:
-        if len(cache) >= RAY_GRIDS_KEPT:
-            del cache[next(iter(cache))]
-        cache[key] = grid
-    return grid
-
-
-# output pixels per _sample_coords block: a multiple of 64, small enough
-# that a block's float64 temporaries stay in cache
+# output pixels per _sample_coords block, rounded down to whole output
+# rows: small enough that a block's float64 temporaries stay in cache
 BLOCK = 8192
 
 
-def _sample_coords(
-    vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int, *, rays: dict | None = None
-):
+def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
     """Continuous equirect sample coordinates for every output pixel.
 
-    `rays` is an optional ray-grid cache owned by the caller (see
-    :func:`_ray_grid`); without it the grid is computed afresh.  The
-    expressions are evaluated over runs of BLOCK pixels, which gives the
-    same values element for element as evaluating them over the whole
-    grid at once, at a fraction of the memory traffic.
+    The camera never rolls, so a pixel's ray is built from its column's
+    x and its row's y alone: pitch turns each row's (y, 1) into its
+    ``up`` and ``fwd`` components, and yaw only shifts x, which is added
+    last.  x lies in [-W/2, 3W/2); the kernel wraps it.  The expressions
+    are evaluated over blocks of whole rows (about BLOCK pixels), which
+    gives the same values element for element as evaluating them over
+    the whole grid at once, at a fraction of the memory traffic.
     """
-    xn, yn, zn = (g.ravel() for g in _ray_grid(out_w, out_h, vp.hfov, vp.aspect, rays))
-    right, up, forward = _camera_basis(vp.center)
+    half_w = math.tan(0.5 * vp.hfov)
+    x = ((np.arange(out_w) + 0.5) / out_w - 0.5) * (2.0 * half_w)
+    y = (0.5 - (np.arange(out_h) + 0.5) / out_h) * (2.0 * half_w / vp.aspect)
+    sp, cp = math.sin(vp.center.pitch), math.cos(vp.center.pitch)
+    fwd = (cp - y * sp)[:, None]
+    up = (y * cp + sp)[:, None]
+    xx = x * x
+    yy = (y * y)[:, None]
     x_scale = src_w / TWO_PI
     y_scale = src_h / math.pi
-    n = xn.shape[0]
-    px = np.empty(n)
-    py = np.empty(n)
-    for lo in range(0, n, BLOCK):
-        b = slice(lo, lo + BLOCK)
-        xb, yb, zb = xn[b], yn[b], zn[b]
-        wx = xb * right[0] + yb * up[0] + zb * forward[0]
-        wy = xb * right[1] + yb * up[1] + zb * forward[1]
-        wz = xb * right[2] + yb * up[2] + zb * forward[2]
-        yaw = np.arctan2(wx, wz)
-        pitch = np.arcsin(np.clip(wy, -1.0, 1.0))
-        np.multiply(yaw + math.pi, x_scale, out=px[b])
-        np.multiply((0.5 * math.pi) - pitch, y_scale, out=py[b])
-    return px, py
+    shift = vp.center.yaw * x_scale
+    px, py = np.empty((2, out_h, out_w))
+    rows = max(1, BLOCK // out_w)
+    for lo in range(0, out_h, rows):
+        r = slice(lo, lo + rows)
+        bx, by = px[r], py[r]
+        np.arctan2(x, fwd[r], out=bx)
+        bx += math.pi
+        bx *= x_scale
+        bx += shift
+        np.add(xx, yy[r], out=by)
+        by += 1.0
+        np.sqrt(by, out=by)
+        np.divide(up[r], by, out=by)
+        np.clip(by, -1.0, 1.0, out=by)
+        np.arcsin(by, out=by)
+        np.subtract(0.5 * math.pi, by, out=by)
+        by *= y_scale
+    return px.ravel(), py.ravel()
 
 
 def _check_output_size(vp: Viewport, out_w: int, out_h: int) -> None:
@@ -283,7 +266,6 @@ def render_sequence(frames, camera_path, out_w: int, out_h: int, sink) -> int:
         raise RenderError(
             f"frame count {len(frames)} does not match path length {len(camera_path)}"
         )
-    rays: dict = {}
     key = coords = None
     for i, source in enumerate(frames):
         if isinstance(source, Image):
@@ -296,7 +278,7 @@ def render_sequence(frames, camera_path, out_w: int, out_h: int, sink) -> int:
         vp = camera_path[i]
         if (vp, img.width, img.height) != key:
             _check_output_size(vp, out_w, out_h)
-            coords = _sample_coords(vp, out_w, out_h, img.width, img.height, rays=rays)
+            coords = _sample_coords(vp, out_w, out_h, img.width, img.height)
             key = (vp, img.width, img.height)
         out = _sample_image(img, coords, out_w, out_h)
         try:

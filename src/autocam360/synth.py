@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import ConfigError, _check_keys, _fields, _scalar
 from .geometry import Direction, EquirectBBox, direction_to_equirect_pixel
 from .renderer import Image
 from .tracks import ObjectTrack, Recommendation, Scene, TrackSample
@@ -79,6 +80,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.duration_s <= 0 or self.fps <= 0:
             raise ScenarioError("duration_s and fps must be positive")
+        if not math.isfinite(self.duration_s * self.fps):
+            raise ScenarioError("the frame count duration_s * fps must be finite")
         if self.width <= 0 or self.height <= 0:
             raise ScenarioError("width and height must be positive")
 
@@ -87,7 +90,24 @@ class ScenarioSpec:
         return max(1, round(self.duration_s * self.fps))
 
 
+_ACTOR_KEYS = {f.name for f in fields(ActorSpec)}
+_RECOMMENDATION_KINDS = {"t": "int", "yaw_deg": "float", "pitch_deg": "float"}
+
+
+def _rows(data: dict, key: str) -> list:
+    rows = data.get(key, [])
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ScenarioError(f"{key} must be a list of JSON objects")
+    return rows
+
+
 def parse_scenario(document: bytes | str) -> ScenarioSpec:
+    """Read a scenario file; every malformed document raises ScenarioError.
+
+    Each field is type-checked with the config's scalar check: numbers
+    must be finite JSON numbers, integers where the field is an integer,
+    and strings JSON strings.
+    """
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -97,25 +117,27 @@ def parse_scenario(document: bytes | str) -> ScenarioSpec:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
     try:
-        actors = tuple(ActorSpec(**a) for a in data.get("actors", []))
+        actors = []
+        for i, a in enumerate(_rows(data, "actors")):
+            _check_keys(a, _ACTOR_KEYS, f"actors[{i}]")
+            actors.append(ActorSpec(**_fields(ActorSpec, a, f"actors[{i}].")))
         recs = None
         if "recommendations" in data:
             recs = tuple(
-                Recommendation(r["t"], r["yaw_deg"], r["pitch_deg"])
-                for r in data["recommendations"]
+                Recommendation(
+                    *(_scalar(r[k], kind, f"recommendations[{i}].{k}")
+                      for k, kind in _RECOMMENDATION_KINDS.items())
+                )
+                for i, r in enumerate(_rows(data, "recommendations"))
             )
+        scalars = {k: data[k] for k in ("seed", "width", "height") if k in data}
+        scalars = {"seed": 0, **scalars, "duration_s": data["duration_s"], "fps": data["fps"]}
         return ScenarioSpec(
-            seed=data.get("seed", 0),
-            duration_s=data["duration_s"],
-            fps=data["fps"],
-            width=data.get("width", 1920),
-            height=data.get("height", 960),
-            actors=actors,
-            recommendations=recs,
+            **_fields(ScenarioSpec, scalars, ""), actors=tuple(actors), recommendations=recs
         )
     except KeyError as exc:
         raise ScenarioError(f"missing required scenario field {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ScenarioError(f"malformed scenario field: {exc}") from exc
 
 

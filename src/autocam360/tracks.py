@@ -52,14 +52,6 @@ class ObjectTrack:
                 )
         object.__setattr__(self, "_frames", frames)
 
-    @property
-    def first_frame(self) -> int:
-        return self.samples[0].frame
-
-    @property
-    def last_frame(self) -> int:
-        return self.samples[-1].frame
-
 
 @dataclass(frozen=True)
 class Recommendation:
@@ -129,12 +121,6 @@ class Scene:
                 raise TrackFileError(
                     f"recommendation pitch {rec.pitch_deg} outside [-90, 90] degrees"
                 )
-
-    def track(self, object_id: str) -> ObjectTrack:
-        for t in self.objects:
-            if t.id == object_id:
-                return t
-        raise KeyError(object_id)
 
 
 # ---------------------------------------------------------------------------

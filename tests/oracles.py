@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from autocam360.geometry import TWO_PI, Direction, Viewport, _camera_basis
-from autocam360.renderer import _ray_grid
 
 
 def stable_angle(a: Direction, b: Direction) -> float:
@@ -69,11 +68,18 @@ def slerp(d1: Direction, d2: Direction, t: float) -> Direction:
     return Direction(math.atan2(w[0], w[2]), math.asin(float(np.clip(w[1], -1, 1))))
 
 
-def reference_sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
-    """Equirect sample coordinates evaluated over the whole output grid at
-    once: the unblocked form that ``renderer._sample_coords`` must equal
-    element for element."""
-    xn, yn, zn = _ray_grid(out_w, out_h, vp.hfov, vp.aspect)
+def rotation_sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
+    """Equirect sample coordinates through a normalized ray grid and the
+    full camera rotation: each pixel's ray is turned into world space by
+    the right/up/forward basis, then mapped to (yaw, pitch).  The closed
+    form in ``renderer._sample_coords`` must give the same directions."""
+    half_w = math.tan(0.5 * vp.hfov)
+    half_h = half_w / vp.aspect
+    u = (np.arange(out_w, dtype=np.float64) + 0.5) / out_w
+    v = (np.arange(out_h, dtype=np.float64) + 0.5) / out_h
+    xg, yg = np.meshgrid((u - 0.5) * (2.0 * half_w), (0.5 - v) * (2.0 * half_h))
+    norm = np.sqrt(xg * xg + yg * yg + 1.0)
+    xn, yn, zn = xg / norm, yg / norm, 1.0 / norm
     right, up, forward = _camera_basis(vp.center)
     wx = xn * right[0] + yn * up[0] + zn * forward[0]
     wy = xn * right[1] + yn * up[1] + zn * forward[1]
@@ -82,4 +88,22 @@ def reference_sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, sr
     pitch = np.arcsin(np.clip(wy, -1.0, 1.0))
     px = (yaw + math.pi) * (src_w / TWO_PI)
     py = ((0.5 * math.pi) - pitch) * (src_h / math.pi)
+    return px.ravel(), py.ravel()
+
+
+def reference_sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
+    """The closed form of ``renderer._sample_coords`` evaluated over the
+    whole output grid at once: the unblocked form that it must equal
+    element for element."""
+    half_w = math.tan(0.5 * vp.hfov)
+    x = ((np.arange(out_w) + 0.5) / out_w - 0.5) * (2.0 * half_w)
+    y = (0.5 - (np.arange(out_h) + 0.5) / out_h) * (2.0 * half_w / vp.aspect)
+    x, y = np.meshgrid(x, y)
+    sp, cp = math.sin(vp.center.pitch), math.cos(vp.center.pitch)
+    fwd = cp - y * sp
+    up = y * cp + sp
+    x_scale = src_w / TWO_PI
+    px = (np.arctan2(x, fwd) + math.pi) * x_scale + vp.center.yaw * x_scale
+    sin_pitch = np.clip(up / np.sqrt(x * x + y * y + 1.0), -1.0, 1.0)
+    py = ((0.5 * math.pi) - np.arcsin(sin_pitch)) * (src_h / math.pi)
     return px.ravel(), py.ravel()

@@ -158,6 +158,48 @@ def test_malformed_camera_path_exits_2(workspace, capsys):
     )
 
 
+@pytest.mark.parametrize("shots", ["abc", {"x": 1}])
+def test_camera_path_shot_rows_must_be_objects(workspace, capsys, shots):
+    frames = workspace / "frames"
+    frames.mkdir()
+    rc = main(["render", "--frames", str(frames), "--path",
+               str(_two_frame_path(workspace, shots=shots)),
+               "--out", str(workspace / "out"), "--size", "160x90"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: malformed camera-path document: shots must be a list of JSON objects\n"
+    )
+
+
+_ACTOR = {"category": "human", "motion": "fixed", "yaw_deg": 0, "pitch_deg": 0}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"duration_s": 1e308}, "the frame count duration_s * fps must be finite"),
+        ({"actors": [{**_ACTOR, "yaw_deg": "x"}]},
+         "malformed scenario field: actors[0].yaw_deg must be a finite number, got 'x'"),
+        ({"recommendations": [{"t": 0, "yaw_deg": 0, "pitch_deg": "up"}]},
+         "malformed scenario field: recommendations[0].pitch_deg must be a finite number, "
+         "got 'up'"),
+        ({"seed": "s"}, "malformed scenario field: seed must be an integer, got 's'"),
+        ({"width": 2.5, "height": 1.5},
+         "malformed scenario field: width must be an integer, got 2.5"),
+        ({"actors": [{**_ACTOR, "category": 5}]},
+         "malformed scenario field: actors[0].category must be a string, got 5"),
+    ],
+)
+def test_malformed_scenario_exits_2_with_one_error_line(workspace, capsys, fields, message):
+    scenario = workspace / "scenario.json"
+    scenario.write_text(json.dumps({"duration_s": 1.0, "fps": 10, **fields}))
+    rc = main(["synth", "--scenario", str(scenario), "--out", str(workspace / "tracks.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not (workspace / "tracks.json").exists()
+
+
 def test_import_loads_no_pool_modules():
     # importing the package must stay cheap: no executor or process pool
     src = Path(autocam360.__file__).parent.parent

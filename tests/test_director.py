@@ -281,6 +281,8 @@ def _path_document(fps=30.0, **frame):
         _path_document(pitch_deg=None),
         _path_document(yaw_deg=10**400),
         b"\xff",
+        json.dumps({**json.loads(_path_document()), "shots": "abc"}),
+        json.dumps({**json.loads(_path_document()), "shots": {"x": 1}}),
     ],
 )
 def test_camera_path_values_are_strict(document):
@@ -311,7 +313,11 @@ _JSON = st.recursive(
 )
 
 
-@given(_JSON)
+# a valid camera path whose shot rows are arbitrary JSON
+_PATHS = _JSON.map(lambda shots: {**json.loads(_path_document()), "shots": shots})
+
+
+@given(_JSON | _PATHS)
 def test_parse_camera_path_raises_only_camera_path_error(data):
     try:
         fps, viewports, shots = parse_camera_path(json.dumps(data), aspect=CFG.aspect)
@@ -319,6 +325,7 @@ def test_parse_camera_path_raises_only_camera_path_error(data):
         return
     assert math.isfinite(fps) and fps > 0
     assert viewports and isinstance(shots, list)
+    assert all(isinstance(row, dict) for row in shots)
 
 
 def test_window_cap_respected_or_relaxed_over_long_run():

@@ -12,17 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import oracle_project, reference_sample_coords
+from oracles import oracle_project, reference_sample_coords, rotation_sample_coords
 
 from autocam360 import _resample, _resample_np, renderer
 from autocam360.geometry import Direction, Viewport, direction_to_equirect_pixel
 from autocam360.renderer import (
     KERNEL_BACKEND,
-    RAY_GRIDS_KEPT,
     Image,
     ImageFormatError,
     RenderError,
-    _ray_grid,
     _sample_coords,
     decode_ppm,
     encode_ppm,
@@ -388,16 +386,6 @@ def test_render_sequence_reuses_coordinates_only_while_the_viewport_holds(monkey
         assert outs[i] == encode_ppm(render_viewport(frame, vp, 64, 36)), i
 
 
-def test_ray_grid_cache_is_bounded():
-    cache = {}
-    grids = [
-        _ray_grid(16, 9, math.radians(40 + k), VP_ASPECT, cache) for k in range(RAY_GRIDS_KEPT + 2)
-    ]
-    assert len(cache) == RAY_GRIDS_KEPT
-    assert _ray_grid(16, 9, math.radians(40 + RAY_GRIDS_KEPT + 1), VP_ASPECT, cache) is grids[-1]
-    assert (16, 9, math.radians(40), VP_ASPECT) not in cache  # the oldest went first
-
-
 def test_render_frames_dir_missing_frame_reports_index(tmp_path):
     in_dir = tmp_path / "in"
     out_dir = tmp_path / "out"
@@ -450,6 +438,35 @@ def test_blocked_sample_coords_at_a_rendered_size(pitch_deg, block):
     # 640x360 from 3840x1920, facing the seam: many full blocks and a tail
     vp = Viewport(Direction(math.pi, math.radians(pitch_deg)), math.radians(75), VP_ASPECT)
     _assert_blocked_equals_reference(vp, 640, 360, 3840, 1920, block)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    yaw=_YAWS,
+    pitch=_PITCHES,
+    hfov=st.floats(0.01, 3.1),
+    aspect=st.floats(0.3, 4.0),
+    data=st.data(),
+)
+def test_sample_coords_point_where_the_rotated_rays_point(yaw, pitch, hfov, aspect, data):
+    out_w = data.draw(st.integers(1, 200), label="out_w")
+    out_h = data.draw(st.integers(1, 200), label="out_h")
+    src_w = data.draw(st.integers(1, 8000), label="src_w")
+    src_h = data.draw(st.integers(1, 4000), label="src_h")
+    vp = Viewport(Direction(yaw, pitch), hfov, aspect)
+    got = _sample_coords(vp, out_w, out_h, src_w, src_h)
+    want = rotation_sample_coords(vp, out_w, out_h, src_w, src_h)
+    u, v = (_units(px, py, src_w, src_h) for px, py in (got, want))
+    angle = np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), np.sum(u * v, axis=1))
+    assert angle.max() <= 1e-9
+
+
+def _units(px, py, src_w, src_h):
+    """Unit vectors of equirect coordinates; x may lie outside [0, W)."""
+    yaw = px * (2.0 * math.pi / src_w) - math.pi
+    pitch = 0.5 * math.pi - py * (math.pi / src_h)
+    cp = np.cos(pitch)
+    return np.stack([cp * np.sin(yaw), np.sin(pitch), cp * np.cos(yaw)], axis=1)
 
 
 def _assert_blocked_equals_reference(vp, out_w, out_h, src_w, src_h, block):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import stable_angle
 
@@ -178,3 +181,51 @@ def test_scenario_errors():
         ActorSpec("x", "warp", 0.0, 0.0)
     with pytest.raises(ScenarioError):
         ScenarioSpec(seed=0, duration_s=0.0, fps=30)
+
+
+_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([1, 30, 2.5, 1e308, 10**400, "x", "human", "fixed", "linear", "circular"])
+    | st.text(max_size=3)
+)
+_KEYS = st.sampled_from(["seed", "duration_s", "fps", "width", "actors", "category", "t", "x"])
+_JSON = st.recursive(
+    _VALUES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+# documents with the scenario's shape, whose values are arbitrary
+_ACTOR_FIELDS = ("category", "motion", "yaw_deg", "pitch_deg")
+_ACTOR_OPTIONAL = ("size_deg", "rate_deg_s", "radius_deg", "period_s")
+_SCENARIOS = st.fixed_dictionaries(
+    {"duration_s": _VALUES, "fps": _VALUES},
+    optional={
+        "seed": _VALUES,
+        "width": _VALUES,
+        "height": _VALUES,
+        "actors": st.lists(
+            st.fixed_dictionaries(
+                {k: _VALUES for k in _ACTOR_FIELDS},
+                optional={k: _VALUES for k in _ACTOR_OPTIONAL},
+            ),
+            max_size=2,
+        ),
+        "recommendations": st.lists(
+            st.fixed_dictionaries({k: _VALUES for k in ("t", "yaw_deg", "pitch_deg")}), max_size=2
+        ),
+    },
+)
+
+
+@given(_JSON | _SCENARIOS)
+def test_parse_scenario_raises_only_scenario_error(data):
+    # synth_scene is not called: accepted frame counts are unbounded
+    try:
+        spec = parse_scenario(json.dumps(data))
+    except ScenarioError:
+        return
+    assert isinstance(spec.num_frames, int) and spec.num_frames >= 1
+    assert all(isinstance(a.category, str) and isinstance(a.yaw_deg, float) for a in spec.actors)
