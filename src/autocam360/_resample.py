@@ -5,14 +5,78 @@ module (``python setup.py build_ext --inplace``).  :func:`load_built`
 loads that build and raises ImportError when there is none, so the
 renderer falls back to ``_resample_np``; :class:`CompiledKernel` wraps
 any build of the same source, given its path.
+
+Each call cuts its pixels into contiguous ranges, one per CPU this
+process may run on (at most ``MAX_RANGES``, and at most one per
+``BLOCK`` pixels).  The first range runs on the calling thread and the
+others on threads started for that call; ctypes releases the GIL while
+the sampler runs, so the ranges run in parallel.  Every thread is joined
+before the call returns, and each pixel is computed on its own, so the
+bytes are the same for any range count.
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib.util
+import os
+import threading
 
 import numpy as np
+
+# a call uses at most MAX_RANGES ranges, and at most one per BLOCK
+# pixels: starting a thread costs about as much as sampling 2k pixels
+MAX_RANGES = 4
+BLOCK = 8192
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+THREADS = min(MAX_RANGES, _usable_cpus())
+
+
+def range_count(n: int) -> int:
+    """How many ranges a call over `n` pixels is cut into."""
+    return max(1, min(THREADS, -(-n // BLOCK)))
+
+
+def split_ranges(n: int, count: int) -> list[tuple[int, int]]:
+    """`count` contiguous ranges ``(lo, hi)`` that tile ``[0, n)`` with
+    sizes differing by at most one; fewer when n < count, so none is
+    empty unless n is 0."""
+    count = max(1, min(count, n))
+    return [(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
+def run_ranges(fn, ranges) -> None:
+    """Call ``fn(lo, hi)`` for every range: the first on this thread, the
+    others on threads started here.  All threads are joined before this
+    returns, and an exception raised in any range is raised here."""
+    errors = []
+
+    def work(lo: int, hi: int) -> None:
+        try:
+            fn(lo, hi)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = []
+    try:
+        for lo, hi in ranges[1:]:
+            thread = threading.Thread(target=work, args=(lo, hi))
+            thread.start()
+            threads.append(thread)
+        fn(*ranges[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 _ARGTYPES = (
     ctypes.c_void_p,  # src, (h, w, 3) uint8
@@ -43,6 +107,11 @@ class CompiledKernel:
         Coordinates must be finite; x wraps around the seam and y clamps
         at the poles.
         """
+        return self._sample_split(src, xs, ys)
+
+    def _sample_split(self, src, xs, ys, count: int | None = None) -> np.ndarray:
+        """:meth:`bilinear_wrap_sample` over `count` ranges (fewer when
+        there are fewer pixels); by default over ``range_count(n)``."""
         src = np.ascontiguousarray(src)
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -52,11 +121,15 @@ class CompiledKernel:
             raise ValueError(
                 f"source must be a non-empty (H, W, 3) uint8 array, got {src.dtype} {src.shape}"
             )
-        out = np.empty((xs.shape[0], 3), dtype=np.uint8)
-        self._sample(
-            src.ctypes.data, src.shape[0], src.shape[1],
-            xs.ctypes.data, ys.ctypes.data, xs.shape[0], out.ctypes.data,
-        )
+        n = xs.shape[0]
+        out = np.empty((n, 3), dtype=np.uint8)
+        sample, (h, w) = self._sample, src.shape[:2]
+        src_p, xs_p, ys_p, out_p = (a.ctypes.data for a in (src, xs, ys, out))
+
+        def sample_range(lo: int, hi: int) -> None:
+            sample(src_p, h, w, xs_p + 8 * lo, ys_p + 8 * lo, hi - lo, out_p + 3 * lo)
+
+        run_ranges(sample_range, split_ranges(n, range_count(n) if count is None else count))
         return out
 
 

@@ -9,7 +9,13 @@ The per-pixel gather/blend is the hot kernel.  A plain-C sampler
 ``_resample``) is used when it has been built, with a pure-NumPy fallback
 selected at import time; ``KERNEL_BACKEND`` names the active one ("c" or
 "numpy").  Both produce byte-identical frames, and rendering is
-deterministic regardless of pixel iteration order.
+deterministic regardless of pixel iteration order.  The compiled kernel
+splits each frame's pixels over up to 4 threads
+(``_resample.MAX_RANGES``), one per CPU the process may run on, started
+for the call and joined before it returns; the bytes are the same for
+any thread count.  :func:`_sample_coords` and the kernel's
+``bilinear_wrap_sample`` run only on the calling thread, the kernel
+once per frame.
 
 Source frames are mapped, not copied: :func:`read_image` maps a file
 copy-on-write and :func:`decode_ppm` returns a view of the payload, so a
@@ -148,7 +154,7 @@ def decode_ppm(buf) -> Image:
 
 def encode_ppm(img: Image) -> bytes:
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, img.pixels))  # one copy of the pixels, not two
 
 
 def read_image(source: bytes | str | Path) -> Image:

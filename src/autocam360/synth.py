@@ -30,6 +30,12 @@ from .tracks import ObjectTrack, Recommendation, Scene, TrackSample
 
 MOTIONS = ("fixed", "linear", "circular")
 
+# scenario size caps: `synth` builds one track sample per actor per frame
+# and holds one width x height x 3 panorama in memory
+MAX_FRAMES = 100_000  # 55 min at 30 fps
+MAX_WIDTH = 8192
+MAX_HEIGHT = 4096
+
 
 class ScenarioError(ValueError):
     """Raised for invalid scenario specifications."""
@@ -82,8 +88,14 @@ class ScenarioSpec:
             raise ScenarioError("duration_s and fps must be positive")
         if not math.isfinite(self.duration_s * self.fps):
             raise ScenarioError("the frame count duration_s * fps must be finite")
+        if self.num_frames > MAX_FRAMES:
+            raise ScenarioError(f"the frame count duration_s * fps must be at most {MAX_FRAMES}")
         if self.width <= 0 or self.height <= 0:
             raise ScenarioError("width and height must be positive")
+        if self.width > MAX_WIDTH or self.height > MAX_HEIGHT:
+            raise ScenarioError(
+                f"panorama size {self.width}x{self.height} exceeds {MAX_WIDTH}x{MAX_HEIGHT}"
+            )
 
     @property
     def num_frames(self) -> int:

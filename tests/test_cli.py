@@ -188,6 +188,9 @@ _ACTOR = {"category": "human", "motion": "fixed", "yaw_deg": 0, "pitch_deg": 0}
          "malformed scenario field: width must be an integer, got 2.5"),
         ({"actors": [{**_ACTOR, "category": 5}]},
          "malformed scenario field: actors[0].category must be a string, got 5"),
+        ({"duration_s": 1e300, "fps": 1},
+         "the frame count duration_s * fps must be at most 100000"),
+        ({"width": 100000, "height": 4096}, "panorama size 100000x4096 exceeds 8192x4096"),
     ],
 )
 def test_malformed_scenario_exits_2_with_one_error_line(workspace, capsys, fields, message):

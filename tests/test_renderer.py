@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 import subprocess
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -315,11 +316,60 @@ KERNEL_CASES = _kernel_cases()
 
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_backends_bit_identical(compiled_kernel, case):
+    # the compiled kernel gives the same bytes however its pixels are split
     src, xs, ys = KERNEL_CASES[case]
     a = compiled_kernel.bilinear_wrap_sample(src, xs, ys)
     b = _resample_np.bilinear_wrap_sample(src, xs, ys)
     assert a.shape == (len(xs), 3)
     assert np.array_equal(a, b)
+    for count in (1, 2, 3):
+        assert np.array_equal(compiled_kernel._sample_split(src, xs, ys, count), b), count
+    # more ranges than pixels, over a few pixels so that few threads start
+    few = slice(0, 5)
+    assert np.array_equal(compiled_kernel._sample_split(src, xs[few], ys[few], 8), b[few])
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_run_ranges_joins_every_thread_and_raises_in_the_caller(failing):
+    # range 0 runs on the calling thread, ranges 1-3 on threads of their own
+    ranges = _resample.split_ranges(40, 4)
+    ran = {}
+
+    def fn(lo, hi):
+        ran[lo] = threading.current_thread()
+        if lo == ranges[failing][0]:
+            raise KeyError(lo)
+
+    before = threading.active_count()
+    with pytest.raises(KeyError) as info:
+        _resample.run_ranges(fn, ranges)
+    assert info.value.args == (ranges[failing][0],)
+    assert threading.active_count() == before
+    assert sorted(ran) == [lo for lo, _ in ranges]
+    assert ran[0] is threading.current_thread()
+    assert len(set(ran.values())) == len(ranges)
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(0, 2**62) | st.sampled_from([1, _resample.BLOCK - 1, _resample.BLOCK + 1]),
+    threads=st.integers(1, _resample.MAX_RANGES),
+    count=st.integers(1, 64),
+)
+def test_ranges_are_capped_and_tile_the_pixels(n, threads, count):
+    # ranges are only computed here, never run
+    assert 1 <= _resample.THREADS <= _resample.MAX_RANGES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_resample, "THREADS", threads)
+        used = _resample.range_count(n)
+    assert 1 <= used <= threads
+    assert used <= max(1, math.ceil(n / _resample.BLOCK))
+    ranges = _resample.split_ranges(n, count)
+    assert len(ranges) == max(1, min(count, n))
+    assert ranges[0][0] == 0 and ranges[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    sizes = [hi - lo for lo, hi in ranges]
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_compiled_kernel_rejects_bad_arguments(compiled_kernel):
@@ -384,6 +434,40 @@ def test_render_sequence_reuses_coordinates_only_while_the_viewport_holds(monkey
     assert len(calls) == 6
     for i, (frame, vp) in enumerate(zip(frames, path)):
         assert outs[i] == encode_ppm(render_viewport(frame, vp, 64, 36)), i
+
+
+def test_hooked_names_run_once_per_frame_on_the_calling_thread(monkeypatch, compiled_kernel):
+    # tracing wraps these two names with a single-thread span stack
+    spec = ScenarioSpec(seed=4, duration_s=1.0, fps=4.0, width=512, height=256)
+    frames = [synth_panorama(spec, t) for t in range(4)]
+    hfov = math.radians(75)
+    path = [Viewport(Direction(0.3 * (i // 2), 0.1), hfov, VP_ASPECT) for i in range(4)]
+    calls = {"coords": [], "kernel": [], "ranges": []}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(_resample, "THREADS", 2)
+    monkeypatch.setattr(renderer, "_kernel", compiled_kernel)
+    monkeypatch.setattr(compiled_kernel, "_sample", recording("ranges", compiled_kernel._sample))
+    monkeypatch.setattr(
+        compiled_kernel, "bilinear_wrap_sample",
+        recording("kernel", compiled_kernel.bilinear_wrap_sample),
+    )
+    monkeypatch.setattr(renderer, "_sample_coords", recording("coords", renderer._sample_coords))
+    # 256x144 output pixels are more than two BLOCKs, so each frame is split
+    render_sequence(frames, path, 256, 144, lambda i, img: None)
+    monkeypatch.undo()
+
+    me = threading.get_ident()
+    assert calls["coords"] == [me, me]
+    assert calls["kernel"] == [me] * len(frames)
+    assert len(calls["ranges"]) == 2 * len(frames)
+    assert len(set(calls["ranges"])) > 1
 
 
 def test_render_frames_dir_missing_frame_reports_index(tmp_path):

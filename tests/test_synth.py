@@ -16,6 +16,9 @@ from autocam360.geometry import (
     direction_to_equirect_pixel,
 )
 from autocam360.synth import (
+    MAX_FRAMES,
+    MAX_HEIGHT,
+    MAX_WIDTH,
     ActorSpec,
     ScenarioError,
     ScenarioSpec,
@@ -183,6 +186,19 @@ def test_scenario_errors():
         ScenarioSpec(seed=0, duration_s=0.0, fps=30)
 
 
+def test_scenario_size_caps():
+    # specs are only built, never synthesized, at these sizes
+    assert ScenarioSpec(seed=0, duration_s=MAX_FRAMES, fps=1.0).num_frames == MAX_FRAMES
+    ScenarioSpec(seed=0, duration_s=1.0, fps=1.0, width=MAX_WIDTH, height=MAX_HEIGHT)
+    with pytest.raises(ScenarioError, match=f"at most {MAX_FRAMES}"):
+        ScenarioSpec(seed=0, duration_s=MAX_FRAMES + 1, fps=1.0)
+    with pytest.raises(ScenarioError, match=f"at most {MAX_FRAMES}"):
+        ScenarioSpec(seed=0, duration_s=1e300, fps=1.0)
+    for w, h in ((MAX_WIDTH + 1, MAX_HEIGHT), (MAX_WIDTH, MAX_HEIGHT + 1)):
+        with pytest.raises(ScenarioError, match="exceeds"):
+            ScenarioSpec(seed=0, duration_s=1.0, fps=1.0, width=w, height=h)
+
+
 _VALUES = (
     st.none()
     | st.booleans()
@@ -222,10 +238,11 @@ _SCENARIOS = st.fixed_dictionaries(
 
 @given(_JSON | _SCENARIOS)
 def test_parse_scenario_raises_only_scenario_error(data):
-    # synth_scene is not called: accepted frame counts are unbounded
+    # synth_scene is not called, but every accepted spec is within the caps
     try:
         spec = parse_scenario(json.dumps(data))
     except ScenarioError:
         return
-    assert isinstance(spec.num_frames, int) and spec.num_frames >= 1
+    assert isinstance(spec.num_frames, int) and 1 <= spec.num_frames <= MAX_FRAMES
+    assert 1 <= spec.width <= MAX_WIDTH and 1 <= spec.height <= MAX_HEIGHT
     assert all(isinstance(a.category, str) and isinstance(a.yaw_deg, float) for a in spec.actors)
