@@ -25,7 +25,8 @@ import threading
 import numpy as np
 
 # a call uses at most MAX_RANGES ranges, and at most one per BLOCK
-# pixels: starting a thread costs about as much as sampling 2k pixels
+# pixels: starting and joining a thread (50-70 us) costs about as much as
+# sampling 3k-4k pixels of a viewport (about 17 ns each on one thread)
 MAX_RANGES = 4
 BLOCK = 8192
 
@@ -104,8 +105,8 @@ class CompiledKernel:
     def bilinear_wrap_sample(self, src: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Sample src (H, W, 3) at continuous pixel coords; returns (N, 3) uint8.
 
-        Coordinates must be finite; x wraps around the seam and y clamps
-        at the poles.
+        Coordinates must be finite and below 2^52 in magnitude; x wraps
+        around the seam and y clamps at the poles.
         """
         return self._sample_split(src, xs, ys)
 

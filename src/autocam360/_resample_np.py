@@ -13,7 +13,12 @@ BACKEND = "numpy"
 
 
 def bilinear_wrap_sample(src: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample src (H, W, 3) at continuous pixel coords; returns (N, 3) uint8."""
+    """Sample src (H, W, 3) at continuous pixel coords; returns (N, 3) uint8.
+
+    Coordinates must be finite and below 2^52 in magnitude, the domain on
+    which the compiled kernel gives the same bytes; x wraps around the
+    seam and y clamps at the poles.
+    """
     if xs.shape != ys.shape:
         raise ValueError("xs and ys must have equal length")
     h, w = src.shape[0], src.shape[1]

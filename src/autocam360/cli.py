@@ -37,6 +37,10 @@ _DATA_ERRORS = (
     ValueError,
 )
 
+# largest --size width and height: every output pixel gets its own
+# sample coordinates, so an unbounded size would end in a MemoryError
+MAX_SIZE = 8192
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
@@ -52,6 +56,8 @@ def _size(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
     if w <= 0 or h <= 0:
         raise argparse.ArgumentTypeError("size components must be positive")
+    if w > MAX_SIZE or h > MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"size {w}x{h} exceeds {MAX_SIZE} on a side")
     return w, h
 
 
@@ -68,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True, help="directory of frame_%%06d.ppm sources")
     p.add_argument("--path", required=True, help="camera-path file (JSON)")
     p.add_argument("--out", required=True, help="output frame directory")
-    p.add_argument("--size", type=_size, default=(960, 540), help="output WxH (default 960x540)")
+    p.add_argument(
+        "--size", type=_size, default=(960, 540),
+        help=f"output WxH, at most {MAX_SIZE} a side (default 960x540)",
+    )
 
     p = sub.add_parser("pipeline", help="direct then render")
     p.add_argument("--tracks", required=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import autocam360
-from autocam360.cli import main
+from autocam360.cli import MAX_SIZE, build_parser, main
 from autocam360.renderer import Image, read_image, write_image
 from autocam360.synth import ScenarioSpec, ActorSpec, scenario_to_document
 
@@ -226,3 +226,15 @@ def test_usage_error_exits_1(capsys):
 def test_bad_size_exits_1(workspace, capsys):
     rc = main(["render", "--frames", "x", "--path", "y", "--out", "z", "--size", "whatever"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["render", "pipeline"])
+def test_size_is_capped_per_side(command, capsys):
+    # the arguments are only parsed: nothing renders at any of these sizes
+    flags = ["--frames", "x", "--out", "z", "--path" if command == "render" else "--tracks", "y"]
+    args = build_parser().parse_args([command, *flags, "--size", f"{MAX_SIZE}x{MAX_SIZE}"])
+    assert args.size == (MAX_SIZE, MAX_SIZE)
+    for size in (f"{MAX_SIZE + 1}x540", f"960x{MAX_SIZE + 1}", "100000x56250"):
+        assert main([command, *flags, "--size", size]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"error: argument --size: size {size} exceeds {MAX_SIZE} on a side"]

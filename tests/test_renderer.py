@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import math
 import os
 import shutil
@@ -18,7 +19,6 @@ from oracles import oracle_project, reference_sample_coords, rotation_sample_coo
 from autocam360 import _resample, _resample_np, renderer
 from autocam360.geometry import Direction, Viewport, direction_to_equirect_pixel
 from autocam360.renderer import (
-    KERNEL_BACKEND,
     Image,
     ImageFormatError,
     RenderError,
@@ -272,19 +272,26 @@ def test_render_deterministic():
     assert encode_ppm(a) == encode_ppm(b)
 
 
+def _setup_compile_args() -> list[str]:
+    """The ``extra_compile_args`` that setup.py builds the sampler with."""
+    tree = ast.parse((Path(__file__).parents[1] / "setup.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "extra_compile_args":
+            return ast.literal_eval(node.value)
+    raise AssertionError("setup.py sets no extra_compile_args")
+
+
 @pytest.fixture(scope="module")
 def compiled_kernel(tmp_path_factory):
-    """The compiled sampler: the active one when it is built, otherwise
-    _resample_c.c compiled here with setup.py's flags."""
-    if KERNEL_BACKEND != "numpy":
-        return renderer._kernel
+    """_resample_c.c as it is in the tree, compiled here with setup.py's
+    flags; an in-place build may be older than the source."""
     cc = shutil.which(os.environ.get("CC", "cc")) or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler found")
     source = Path(_resample.__file__).with_name("_resample_c.c")
     library = tmp_path_factory.mktemp("kernel") / "_resample_c.so"
     subprocess.run(
-        [cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", str(source), "-o", str(library)],
+        [cc, *_setup_compile_args(), "-shared", "-fPIC", str(source), "-o", str(library)],
         check=True,
     )
     return _resample.CompiledKernel(library)
@@ -327,6 +334,66 @@ def test_backends_bit_identical(compiled_kernel, case):
     # more ranges than pixels, over a few pixels so that few threads start
     few = slice(0, 5)
     assert np.array_equal(compiled_kernel._sample_split(src, xs[few], ys[few], 8), b[few])
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_active_kernel_matches_the_tree_source(compiled_kernel, case):
+    # a stale in-place build of the C kernel fails here
+    src, xs, ys = KERNEL_CASES[case]
+    want = compiled_kernel.bilinear_wrap_sample(src, xs, ys)
+    assert np.array_equal(renderer._kernel.bilinear_wrap_sample(src, xs, ys), want)
+
+
+# the kernels' coordinate domain: finite and below 2^52 in magnitude
+_LIMIT = 2.0**52
+
+
+def _step(v, ulps):
+    """`v` moved by `ulps` (-1, 0 or 1) units in the last place."""
+    return np.where(ulps == 0, v, np.nextafter(v, np.copysign(np.inf, ulps)))
+
+
+# uniform values, integers and half-integers, near the source and far
+# out, each possibly one ulp off
+_COORDS = st.builds(
+    lambda v, ulps: float(_step(v, ulps)),
+    st.floats(-64.0, 64.0)
+    | st.floats(-_LIMIT, _LIMIT, exclude_min=True, exclude_max=True)
+    | st.integers(-64, 64).map(float)
+    | st.integers(-(2**52) + 1, 2**52 - 1).map(float)
+    | st.integers(-64, 64).map(lambda k: k + 0.5)
+    | st.integers(-(2**51), 2**51 - 1).map(lambda k: k + 0.5),
+    st.sampled_from([0, -1, 1]),
+).filter(lambda v: abs(v) < _LIMIT)
+
+
+def _random_coords(rng, n):
+    """n coordinates of the same kinds as _COORDS, half of them within
+    64 of zero and half spread log-uniformly up to 2^52."""
+    scale = np.where(rng.random(n) < 0.5, 64.0, 2.0 ** rng.uniform(0.0, 52.0, n))
+    v = rng.uniform(-1.0, 1.0, n) * scale
+    kind = rng.integers(0, 3, n)
+    v = np.where(kind == 1, np.round(v), np.where(kind == 2, np.floor(v) + 0.5, v))
+    return _step(v, rng.integers(-1, 2, n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    shape=st.tuples(st.integers(1, 32), st.integers(1, 32)),
+    seed=st.integers(0, 2**32 - 1),
+    picked=st.lists(st.tuples(_COORDS, _COORDS), max_size=8),
+)
+def test_backends_bit_identical_over_the_coordinate_domain(compiled_kernel, shape, seed, picked):
+    # random bytes, about a tenth of them 0 and a tenth 255
+    rng = np.random.default_rng(seed)
+    src = rng.integers(-32, 288, (*shape, 3)).clip(0, 255).astype(np.uint8)
+    xs, ys = _random_coords(rng, 1000), _random_coords(rng, 1000)
+    inside = (np.abs(xs) < _LIMIT) & (np.abs(ys) < _LIMIT)
+    xs = np.concatenate([[x for x, _ in picked], xs[inside]])
+    ys = np.concatenate([[y for _, y in picked], ys[inside]])
+    want = _resample_np.bilinear_wrap_sample(src, xs, ys)
+    for count in (1, 2):
+        assert np.array_equal(compiled_kernel._sample_split(src, xs, ys, count), want), count
 
 
 @pytest.mark.parametrize("failing", [0, 2])
