@@ -26,9 +26,11 @@ import numpy as np
 
 # a call uses at most MAX_RANGES ranges, and at most one per BLOCK
 # pixels: starting and joining a thread (50-70 us) costs about as much as
-# sampling 3k-4k pixels of a viewport (about 17 ns each on one thread)
+# sampling 8k-11k pixels of a viewport (6-7 ns each on one thread, on the
+# AVX-512 path), so a second range pays only when it takes that many
+# pixels off the calling thread, at 16k-22k pixels per call
 MAX_RANGES = 4
-BLOCK = 8192
+BLOCK = 16384
 
 
 def _usable_cpus() -> int:
@@ -92,15 +94,21 @@ _ARGTYPES = (
 
 class CompiledKernel:
     """The sampler in the shared library at `path` (raises OSError when
-    the file cannot be loaded)."""
+    the file cannot be loaded).
 
-    BACKEND = "c"
+    ``BACKEND`` names the path the library picked for this CPU when it
+    loaded: ``"c-avx512"`` for the AVX-512 loop, 8 pixels per step, and
+    ``"c"`` for the scalar loop.  Both give the same bytes.
+    """
 
     def __init__(self, path) -> None:
         self._library = ctypes.CDLL(str(path))
         self._sample = self._library.bilinear_wrap_sample
         self._sample.argtypes = _ARGTYPES
         self._sample.restype = None
+        lanes = self._library.bilinear_wrap_sample_lanes
+        lanes.argtypes, lanes.restype = (), ctypes.c_int
+        self.BACKEND = "c-avx512" if lanes() == 8 else "c"
 
     def bilinear_wrap_sample(self, src: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Sample src (H, W, 3) at continuous pixel coords; returns (N, 3) uint8.
@@ -141,5 +149,7 @@ def load_built() -> CompiledKernel:
         raise ImportError("compiled sampler _resample_c is not built")
     try:
         return CompiledKernel(spec.origin)
-    except OSError as exc:  # present but not loadable (wrong platform, truncated file)
+    # present but not loadable (wrong platform, truncated file), or built
+    # from an older source that lacks a symbol
+    except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot load compiled sampler {spec.origin}: {exc}") from exc

@@ -7,8 +7,10 @@ with horizontal wrap-around at the seam and vertical clamp at the poles.
 The per-pixel gather/blend is the hot kernel.  A plain-C sampler
 (``_resample_c.c``, built by ``setup.py`` and loaded through ctypes by
 ``_resample``) is used when it has been built, with a pure-NumPy fallback
-selected at import time; ``KERNEL_BACKEND`` names the active one ("c" or
-"numpy").  Both produce byte-identical frames, and rendering is
+selected at import time.  ``KERNEL_BACKEND`` names the active one:
+"c-avx512" when the compiled kernel runs its AVX-512 loop (8 pixels per
+step, picked when the library loads), "c" for its scalar loop, or
+"numpy".  All produce byte-identical frames, and rendering is
 deterministic regardless of pixel iteration order.  The compiled kernel
 splits each frame's pixels over up to 4 threads
 (``_resample.MAX_RANGES``), one per CPU the process may run on, started

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import ast
+import importlib.machinery
+import importlib.util
 import math
 import os
 import shutil
 import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -282,7 +285,7 @@ def _setup_compile_args() -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def compiled_kernel(tmp_path_factory):
+def kernel_library(tmp_path_factory):
     """_resample_c.c as it is in the tree, compiled here with setup.py's
     flags; an in-place build may be older than the source."""
     cc = shutil.which(os.environ.get("CC", "cc")) or shutil.which("gcc")
@@ -294,7 +297,29 @@ def compiled_kernel(tmp_path_factory):
         [cc, *_setup_compile_args(), "-shared", "-fPIC", str(source), "-o", str(library)],
         check=True,
     )
-    return _resample.CompiledKernel(library)
+    return library
+
+
+@pytest.fixture(scope="module")
+def compiled_kernel(kernel_library):
+    """The compiled kernel's dispatching entry point, as the renderer
+    calls it: the AVX-512 path where the CPU has it."""
+    return _resample.CompiledKernel(kernel_library)
+
+
+def _portable(library) -> _resample.CompiledKernel:
+    """A kernel on `library` whose calls go straight to the scalar loop."""
+    kernel = _resample.CompiledKernel(library)
+    kernel._sample = kernel._library.bilinear_wrap_sample_portable
+    kernel._sample.argtypes = _resample._ARGTYPES
+    return kernel
+
+
+@pytest.fixture(scope="module")
+def entry_points(compiled_kernel, kernel_library):
+    """Both entry points of the compiled kernel: the dispatching one and
+    the scalar loop it falls back to, kept under test on any CPU."""
+    return {"dispatched": compiled_kernel, "portable": _portable(kernel_library)}
 
 
 def _kernel_cases():
@@ -322,18 +347,19 @@ KERNEL_CASES = _kernel_cases()
 
 
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
-def test_backends_bit_identical(compiled_kernel, case):
-    # the compiled kernel gives the same bytes however its pixels are split
+def test_backends_bit_identical(entry_points, case):
+    # both entry points give the same bytes however their pixels are split
     src, xs, ys = KERNEL_CASES[case]
-    a = compiled_kernel.bilinear_wrap_sample(src, xs, ys)
     b = _resample_np.bilinear_wrap_sample(src, xs, ys)
-    assert a.shape == (len(xs), 3)
-    assert np.array_equal(a, b)
-    for count in (1, 2, 3):
-        assert np.array_equal(compiled_kernel._sample_split(src, xs, ys, count), b), count
-    # more ranges than pixels, over a few pixels so that few threads start
-    few = slice(0, 5)
-    assert np.array_equal(compiled_kernel._sample_split(src, xs[few], ys[few], 8), b[few])
+    for name, kernel in entry_points.items():
+        a = kernel.bilinear_wrap_sample(src, xs, ys)
+        assert a.shape == (len(xs), 3)
+        assert np.array_equal(a, b), name
+        for count in (1, 2, 3):
+            assert np.array_equal(kernel._sample_split(src, xs, ys, count), b), (name, count)
+        # more ranges than pixels, over a few pixels so that few threads start
+        few = slice(0, 5)
+        assert np.array_equal(kernel._sample_split(src, xs[few], ys[few], 8), b[few]), name
 
 
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
@@ -383,7 +409,7 @@ def _random_coords(rng, n):
     seed=st.integers(0, 2**32 - 1),
     picked=st.lists(st.tuples(_COORDS, _COORDS), max_size=8),
 )
-def test_backends_bit_identical_over_the_coordinate_domain(compiled_kernel, shape, seed, picked):
+def test_backends_bit_identical_over_the_coordinate_domain(entry_points, shape, seed, picked):
     # random bytes, about a tenth of them 0 and a tenth 255
     rng = np.random.default_rng(seed)
     src = rng.integers(-32, 288, (*shape, 3)).clip(0, 255).astype(np.uint8)
@@ -392,8 +418,156 @@ def test_backends_bit_identical_over_the_coordinate_domain(compiled_kernel, shap
     xs = np.concatenate([[x for x, _ in picked], xs[inside]])
     ys = np.concatenate([[y for _, y in picked], ys[inside]])
     want = _resample_np.bilinear_wrap_sample(src, xs, ys)
-    for count in (1, 2):
-        assert np.array_equal(compiled_kernel._sample_split(src, xs, ys, count), want), count
+    for name, kernel in entry_points.items():
+        for count in (1, 2):
+            assert np.array_equal(kernel._sample_split(src, xs, ys, count), want), (name, count)
+
+
+# the AVX-512 path samples 8 pixels per step and hands a group to the
+# scalar loop when a lane's x tap needs the modulo or a tap sits at byte 0
+_LANES = 8
+_LANE_SRC = np.random.default_rng(7).integers(0, 256, (9, 13, 3), dtype=np.uint8)
+
+
+def _in_range(rng, n):
+    """n coordinates whose taps need no wrap and avoid byte 0."""
+    h, w = _LANE_SRC.shape[:2]
+    return rng.uniform(1.5, w - 0.5, n), rng.uniform(1.5, h - 0.5, n)
+
+
+# a lane that needs the group's fallback: wrapping at either side of the
+# seam, far outside, or a tap at byte offset 0 (top-left pixel, y clamped
+# at the pole), reached through x0 or through x1 wrapping to column 0
+_ODD_LANES = {
+    "left_of_seam": (-0.2, 4.0),
+    "right_of_seam": (13.7, 4.0),
+    "far_outside": (-70.3, 4.0),
+    "top_left_x0": (0.7, -3.0),
+    "top_left_x1": (12.9, 0.2),
+}
+
+
+def test_every_length_from_0_to_17(entry_points):
+    # whole groups of 8, their tails, and tails with no group before them
+    rng = np.random.default_rng(1)
+    for n in range(2 * _LANES + 2):
+        xs, ys = _in_range(rng, n)
+        want = _resample_np.bilinear_wrap_sample(_LANE_SRC, xs, ys)
+        for name, kernel in entry_points.items():
+            assert np.array_equal(kernel._sample_split(_LANE_SRC, xs, ys, 1), want), (name, n)
+
+
+@pytest.mark.parametrize("odd", list(_ODD_LANES))
+def test_one_odd_lane_among_in_range_lanes(entry_points, odd):
+    # the odd lane at every position of the first and the second group,
+    # the second followed by a tail of 3
+    rng = np.random.default_rng(2)
+    for n, lanes in ((_LANES, range(_LANES)), (2 * _LANES + 3, range(_LANES, 2 * _LANES))):
+        for lane in lanes:
+            xs, ys = _in_range(rng, n)
+            xs[lane], ys[lane] = _ODD_LANES[odd]
+            want = _resample_np.bilinear_wrap_sample(_LANE_SRC, xs, ys)
+            for name, kernel in entry_points.items():
+                got = kernel._sample_split(_LANE_SRC, xs, ys, 1)
+                assert np.array_equal(got, want), (name, n, lane)
+
+
+def test_in_range_groups_round_like_the_reference(entry_points):
+    # every group takes the vector path; fractions of 0, 1/2 or uniform,
+    # each possibly one ulp off, put about one blend in a thousand near a
+    # rounding boundary, where a reordered sum or a fused multiply-add
+    # changes a byte
+    rng = np.random.default_rng(4)
+    h, w, n = 24, 40, 1 << 16
+    src = rng.integers(-32, 288, (h, w, 3)).clip(0, 255).astype(np.uint8)
+
+    def coords(lo, hi):
+        fraction = np.choose(rng.integers(0, 3, n), [rng.random(n), 0.5, 0.0])
+        return _step(np.floor(rng.uniform(lo, hi, n)) + fraction + 0.5, rng.integers(-1, 2, n))
+
+    xs, ys = coords(1.0, w - 2.0), coords(1.0, h - 2.0)
+    want = _resample_np.bilinear_wrap_sample(src, xs, ys)
+    for name, kernel in entry_points.items():
+        assert np.array_equal(kernel._sample_split(src, xs, ys, 1), want), name
+
+
+# Runs in a child process, so that a read outside the source kills the
+# child and fails the test instead of ending pytest.  Three anonymous
+# pages are mapped; the first and the last become PROT_NONE, and a 16x32
+# source is placed flush against each of them in turn.
+_GUARD_CHILD = r"""
+import ctypes
+import mmap
+import sys
+
+import numpy as np
+
+from autocam360 import _resample, _resample_np
+
+library = sys.argv[1]
+h, w = 16, 32
+size = h * w * 3
+page = mmap.PAGESIZE
+pages = mmap.mmap(-1, 3 * page)
+base = ctypes.addressof(ctypes.c_char.from_buffer(pages))
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+for guard in (base, base + 2 * page):
+    if libc.mprotect(guard, page, 0) != 0:  # PROT_NONE
+        sys.exit(f"mprotect failed with errno {ctypes.get_errno()}")
+
+dispatched = _resample.CompiledKernel(library)
+portable = _resample.CompiledKernel(library)
+portable._sample = portable._library.bilinear_wrap_sample_portable
+portable._sample.argtypes = _resample._ARGTYPES
+
+# corners, the seam and beyond both poles, 8 lanes alike so that whole
+# groups take the vector path, and a tail
+rng = np.random.default_rng(3)
+xs_at = [-0.2, 0.5, 0.7, 1.4, w - 1.2, w - 0.5, w - 0.2, w, w + 0.3, 2 * w + 0.6]
+ys_at = [-40.0, -0.2, 0.3, 0.5, 1.2, h - 1.2, h - 0.5, h, h + 0.4, 3.0 * h]
+xs = np.repeat([x for x in xs_at for _ in ys_at], 8) + rng.uniform(-0.05, 0.05, 800)
+ys = np.repeat([y for _ in xs_at for y in ys_at], 8) + rng.uniform(-0.05, 0.05, 800)
+xs, ys = np.append(xs, xs[-5:]), np.append(ys, ys[-5:])
+
+for offset in (page, 2 * page - size):
+    src = np.frombuffer(pages, np.uint8, size, offset).reshape(h, w, 3)
+    src[:] = rng.integers(0, 256, src.shape, dtype=np.uint8)
+    want = _resample_np.bilinear_wrap_sample(src.copy(), xs, ys)
+    for name, kernel in (("dispatched", dispatched), ("portable", portable)):
+        for count in (1, 2):
+            got = kernel._sample_split(src, xs, ys, count)
+            if not np.array_equal(got, want):
+                sys.exit(f"{name} over {count} range(s), source at {offset}: bytes differ")
+"""
+
+
+def _child_env() -> dict:
+    """This environment, with the package under test on the import path."""
+    src = str(Path(renderer.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs mprotect (Linux)")
+def test_kernel_never_reads_outside_its_source(kernel_library):
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD_CHILD, str(kernel_library)],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+
+
+def test_backend_names_the_path_for_this_cpu(compiled_kernel):
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    needed = ("AVX512F", "AVX512DQ", "AVX512BW", "AVX512VL", "AVX512VBMI")
+    vector = all(__cpu_features__.get(name) for name in needed)
+    assert compiled_kernel.BACKEND == ("c-avx512" if vector else "c")
+    if renderer._kernel is not _resample_np:
+        assert renderer.KERNEL_BACKEND == compiled_kernel.BACKEND
 
 
 @pytest.mark.parametrize("failing", [0, 2])
@@ -437,6 +611,22 @@ def test_ranges_are_capped_and_tile_the_pixels(n, threads, count):
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     sizes = [hi - lo for lo, hi in ranges]
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_a_build_of_an_older_source_falls_back(tmp_path, monkeypatch):
+    # a library without bilinear_wrap_sample_lanes is not loaded, so the
+    # renderer uses the NumPy kernel instead of failing at import
+    cc = shutil.which(os.environ.get("CC", "cc")) or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler found")
+    source = tmp_path / "old.c"
+    source.write_text("void bilinear_wrap_sample(void) {}\n", encoding="utf-8")
+    library = tmp_path / "old.so"
+    subprocess.run([cc, "-shared", "-fPIC", str(source), "-o", str(library)], check=True)
+    found = importlib.machinery.ModuleSpec("autocam360._resample_c", None, origin=str(library))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+    with pytest.raises(ImportError, match="bilinear_wrap_sample_lanes"):
+        _resample.load_built()
 
 
 def test_compiled_kernel_rejects_bad_arguments(compiled_kernel):
