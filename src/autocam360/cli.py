@@ -6,7 +6,10 @@ path -> perspective frames), ``pipeline`` (direct then render), ``synth``
 
 Exit status: 0 on success, 1 on usage errors, 2 on data errors (with a
 single ``error: ...`` line on stderr).  Runs are pure functions of their
-inputs: no hidden state, caches or environment variables.
+inputs: no hidden state or caches, and the package reads no environment
+variable of its own.  NumPy picks its CPU code paths at import and
+honours ``NPY_DISABLE_CPU_FEATURES``; see :mod:`autocam360.renderer` for
+what that means for rendered bytes.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str, what: str) -> str:
+def _read_text(path: str | Path, what: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise TrackFileError(f"{what} file not found: {path}")
@@ -113,39 +116,44 @@ def _print_shot_table(output) -> None:
         )
 
 
-def _cmd_direct(args) -> int:
+def _direct(args, path_file: Path, make_dir: bool = False) -> None:
+    """Plan from ``--tracks`` and ``--config``, write the camera path to
+    `path_file` (making its directory first if `make_dir`) and print the
+    shot table."""
     scene = parse_scene(_read_text(args.tracks, "tracks"))
     cfg = load_config(args.config)
     output = direct(scene, cfg)
-    Path(args.out).write_text(output_to_document(output), encoding="utf-8")
+    if make_dir:
+        path_file.parent.mkdir(parents=True, exist_ok=True)
+    path_file.write_text(output_to_document(output), encoding="utf-8")
     _print_shot_table(output)
+
+
+def _render(args, path_file: str | Path, out: str | Path) -> None:
+    """Render ``--frames`` along the camera path in `path_file` into `out`
+    at ``--size``."""
+    out_w, out_h = args.size
+    document = _read_text(path_file, "camera path")
+    _fps, viewports, _shots = parse_camera_path(document, aspect=out_w / out_h)
+    count = render_frames_dir(args.frames, out, viewports, out_w, out_h)
+    print(f"rendered {count} frames to {out}")
+
+
+def _cmd_direct(args) -> int:
+    _direct(args, Path(args.out))
     return 0
 
 
 def _cmd_render(args) -> int:
-    out_w, out_h = args.size
-    document = _read_text(args.path, "camera path")
-    _fps, viewports, _shots = parse_camera_path(document, aspect=out_w / out_h)
-    count = render_frames_dir(args.frames, args.out, viewports, out_w, out_h)
-    print(f"rendered {count} frames to {args.out}")
+    _render(args, args.path, args.out)
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    scene = parse_scene(_read_text(args.tracks, "tracks"))
-    cfg = load_config(args.config)
-    output = direct(scene, cfg)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path_file = out_dir / "camera_path.json"
-    path_file.write_text(output_to_document(output), encoding="utf-8")
-    _print_shot_table(output)
-    out_w, out_h = args.size
-    _fps, viewports, _shots = parse_camera_path(
-        path_file.read_text(encoding="utf-8"), aspect=out_w / out_h
-    )
-    count = render_frames_dir(args.frames, out_dir, viewports, out_w, out_h)
-    print(f"rendered {count} frames to {out_dir}")
+    _direct(args, path_file, make_dir=True)
+    _render(args, path_file, out_dir)
     return 0
 
 

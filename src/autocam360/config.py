@@ -7,13 +7,12 @@ defaults below.  Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
+from . import _document
 from .measures import MeasureConfig
 from .saliency import SaliencyWeights, ShotType, TypeWeights
 
@@ -89,11 +88,10 @@ class DirectorConfig:
             raise ConfigError("recommender_min_coverage must be in [0, 1]")
 
 
+_CONFIG_KEYS = {f.name for f in fields(DirectorConfig)}
+_MEASURE_KEYS = {f.name for f in fields(MeasureConfig)}
 _SALIENCY_KEYS = {"type_weights", "visited_weight", "category_weights"}
-_TYPE_WEIGHT_KEYS = ("size", "motion", "isolation")
-_KIND_NAMES = {
-    "bool": "a boolean", "int": "an integer", "float": "a finite number", "str": "a string"
-}
+_TYPE_WEIGHTS = {"size": "float", "motion": "float", "isolation": "float"}
 
 
 def _shot_type(name: str) -> ShotType:
@@ -106,106 +104,55 @@ def _shot_type(name: str) -> ShotType:
         ) from None
 
 
-def _check_keys(data: dict, allowed, context: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {context} key(s): {', '.join(unknown)}")
+def _saliency(s: dict) -> SaliencyWeights:
+    _document.keys(s, _SALIENCY_KEYS, "saliency")
+    kwargs: dict = {}
+    if "type_weights" in s:
+        tw = {}
+        for name, spec in _document.check(s["type_weights"], "object", "type_weights").items():
+            where = f"type_weights['{name}']"
+            _document.keys(_document.check(spec, "object", where), _TYPE_WEIGHTS, where)
+            tw[_shot_type(name)] = TypeWeights(*_document.required(spec, _TYPE_WEIGHTS, where))
+        kwargs["type_weights"] = {**SaliencyWeights().type_weights, **tw}
+    if "visited_weight" in s:
+        kwargs["visited_weight"] = _document.check(s["visited_weight"], "float", "visited_weight")
+    if "category_weights" in s:
+        weights = _document.check(s["category_weights"], "object", "category_weights")
+        cw = {
+            label: _document.check(v, "float", f"category_weights['{label}']")
+            for label, v in weights.items()
+        }
+        if "default" in cw:
+            kwargs["default_category_weight"] = cw.pop("default")
+        kwargs["category_weights"] = cw
+    return SaliencyWeights(**kwargs)
 
 
-def _object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object")
-    return value
-
-
-def _scalar(value, kind: str, name: str):
-    """`value` as a field of declared type `kind` ("bool", "int", "float"
-    or "str"): bools must be JSON booleans, ints JSON integers, floats
-    finite numbers, integers included, and strings JSON strings."""
-    if kind == "bool":
-        ok = isinstance(value, bool)
-    elif kind == "str":
-        ok = isinstance(value, str)
-    elif kind == "int":
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:  # NaN fails the comparison too
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and abs(value) <= sys.float_info.max
-        if ok:
-            value = float(value)
-    if not ok:
-        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _fields(cls, data: dict, context: str) -> dict:
-    """The scalar fields of dataclass `cls` given in `data`, type-checked
-    against their declared types."""
-    kinds = {f.name: f.type for f in fields(cls)}
-    return {k: _scalar(v, kinds[k], f"{context}{k}") for k, v in data.items()}
+def _config(data) -> DirectorConfig:
+    _document.keys(_document.check(data, "object", "config document"), _CONFIG_KEYS, "config")
+    nested = {"fov_deg", "measures", "saliency"}
+    simple = _document.fields(DirectorConfig, {k: v for k, v in data.items() if k not in nested})
+    if "fov_deg" in data:
+        fovs = dict(_default_fovs())
+        for name, value in _document.check(data["fov_deg"], "object", "fov_deg").items():
+            fovs[_shot_type(name)] = _document.check(value, "float", f"fov_deg['{name}']")
+        simple["fov_deg"] = fovs
+    if "measures" in data:
+        m = _document.check(data["measures"], "object", "measures")
+        _document.keys(m, _MEASURE_KEYS, "measures")
+        simple["measures"] = MeasureConfig(**_document.fields(MeasureConfig, m, "measures"))
+    if "saliency" in data:
+        simple["saliency"] = _saliency(_document.check(data["saliency"], "object", "saliency"))
+    return DirectorConfig(**simple)
 
 
 def config_from_dict(data: dict) -> DirectorConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys(data, {f.name for f in fields(DirectorConfig)}, "config")
-
-    nested = {"fov_deg", "measures", "saliency"}
-    simple = _fields(DirectorConfig, {k: v for k, v in data.items() if k not in nested}, "")
-
-    if "fov_deg" in data:
-        fov = _object(data["fov_deg"], "fov_deg")
-        fovs = dict(_default_fovs())
-        for name, value in fov.items():
-            fovs[_shot_type(name)] = _scalar(value, "float", f"fov_deg['{name}']")
-        simple["fov_deg"] = fovs
-
-    if "measures" in data:
-        m = _object(data["measures"], "measures")
-        _check_keys(m, {f.name for f in fields(MeasureConfig)}, "measures")
-        try:
-            simple["measures"] = replace(MeasureConfig(), **_fields(MeasureConfig, m, "measures."))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    if "saliency" in data:
-        s = _object(data["saliency"], "saliency")
-        _check_keys(s, _SALIENCY_KEYS, "saliency")
-        kwargs: dict = {}
-        if "type_weights" in s:
-            tw = {}
-            for name, spec in _object(s["type_weights"], "type_weights").items():
-                t = _shot_type(name)
-                context = f"type_weights['{name}']"
-                spec = _object(spec, context)
-                _check_keys(spec, _TYPE_WEIGHT_KEYS, context)
-                missing = [k for k in _TYPE_WEIGHT_KEYS if k not in spec]
-                if missing:
-                    raise ConfigError(f"{context} missing {missing[0]!r}")
-                try:
-                    tw[t] = TypeWeights(
-                        *(_scalar(spec[k], "float", f"{context}.{k}") for k in _TYPE_WEIGHT_KEYS)
-                    )
-                except ValueError as exc:
-                    raise ConfigError(f"{context}: {exc}") from exc
-            kwargs["type_weights"] = {**SaliencyWeights().type_weights, **tw}
-        if "visited_weight" in s:
-            kwargs["visited_weight"] = _scalar(s["visited_weight"], "float", "visited_weight")
-        if "category_weights" in s:
-            cw = {
-                label: _scalar(v, "float", f"category_weights['{label}']")
-                for label, v in _object(s["category_weights"], "category_weights").items()
-            }
-            if "default" in cw:
-                kwargs["default_category_weight"] = cw.pop("default")
-            kwargs["category_weights"] = cw
-        try:
-            simple["saliency"] = SaliencyWeights(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
+    """A DirectorConfig from a parsed config document; every malformed
+    document raises ConfigError."""
     try:
-        return DirectorConfig(**simple)
+        return _config(data)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -214,11 +161,8 @@ def load_config(source: str | Path | None) -> DirectorConfig:
     """Load a config file; None gives the defaults."""
     if source is None:
         return DirectorConfig()
-    text = Path(source).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        data = _document.load(Path(source).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"config {exc}") from exc
     return config_from_dict(data)

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .config import DirectorConfig, _scalar
+from . import _document
+from .config import DirectorConfig
 from .geometry import Direction, Viewport
 from .hypotheses import (
     ShotHypothesis,
@@ -260,38 +261,30 @@ class CameraPathError(ValueError):
     """Raised for malformed camera-path documents."""
 
 
+_PATH = {"fps": "float", "frames": "rows"}
+_FRAME = {"yaw_deg": "float", "pitch_deg": "float", "hfov_deg": "float"}
+
+
 def parse_camera_path(document: bytes | str, aspect: float) -> tuple[float, list[Viewport], list[dict]]:
     """Read a camera-path file back as (fps, per-frame viewports, shot rows).
 
     `aspect` supplies the output aspect ratio (the file stores only the
     horizontal FOV).  ``fps`` must be a positive finite number, every
     frame's angles finite numbers and the shot rows, when present, a list
-    of objects.  A path with no frames is rejected.
+    of objects.  A path with no frames is rejected.  Keys the format does
+    not define are ignored.
     """
     try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise CameraPathError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except UnicodeDecodeError as exc:
-        raise CameraPathError(f"camera path is not UTF-8 text: {exc}") from exc
-    try:
-        # the config's number check: a finite JSON number, not a bool or string
-        fps = _scalar(data["fps"], "float", "fps")
+        data = _document.check(_document.load(document), "object", "camera path")
+        fps, rows = _document.required(data, _PATH)
         if fps <= 0.0:
             raise ValueError(f"fps must be positive, got {fps!r}")
         frames = []
-        for i, f in enumerate(data["frames"]):
-            yaw, pitch, hfov = (
-                math.radians(_scalar(f[k], "float", f"frame {i} {k}"))
-                for k in ("yaw_deg", "pitch_deg", "hfov_deg")
-            )
+        for i, row in enumerate(rows):
+            yaw, pitch, hfov = map(math.radians, _document.required(row, _FRAME, f"frames[{i}]"))
             frames.append(Viewport(Direction(yaw, pitch), hfov, aspect))
-        shots = data.get("shots", [])
-        if not isinstance(shots, list) or not all(isinstance(s, dict) for s in shots):
-            raise ValueError("shots must be a list of JSON objects")
-    except (KeyError, TypeError, ValueError) as exc:
+        shots = _document.check(data.get("shots", []), "rows", "shots")
+    except ValueError as exc:
         raise CameraPathError(f"malformed camera-path document: {exc}") from exc
     if not frames:
         raise CameraPathError("camera path has no frames")

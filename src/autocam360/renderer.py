@@ -11,7 +11,11 @@ selected at import time.  ``KERNEL_BACKEND`` names the active one:
 "c-avx512" when the compiled kernel runs its AVX-512 loop (8 pixels per
 step, picked when the library loads), "c" for its scalar loop, or
 "numpy".  All produce byte-identical frames, and rendering is
-deterministic regardless of pixel iteration order.  The compiled kernel
+deterministic regardless of pixel iteration order.  Bytes are identical
+for identical inputs on one NumPy build and CPU class; across NumPy's
+CPU dispatch targets the sample coordinates, which come from NumPy's
+``arctan2`` and ``arcsin``, agree to about 1e-12, so a blend next to a
+rounding boundary may differ there.  The compiled kernel
 splits each frame's pixels over up to 4 threads
 (``_resample.MAX_RANGES``), one per CPU the process may run on, started
 for the call and joined before it returns; the bytes are the same for

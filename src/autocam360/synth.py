@@ -23,18 +23,22 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ConfigError, _check_keys, _fields, _scalar
+from . import _document
 from .geometry import Direction, EquirectBBox, direction_to_equirect_pixel
 from .renderer import Image
-from .tracks import ObjectTrack, Recommendation, Scene, TrackSample
+from .tracks import (
+    MAX_FRAMES,
+    MAX_HEIGHT,
+    MAX_WIDTH,
+    ObjectTrack,
+    Recommendation,
+    Scene,
+    TrackSample,
+    read_recommendations,
+    recommendation_rows,
+)
 
 MOTIONS = ("fixed", "linear", "circular")
-
-# scenario size caps: `synth` builds one track sample per actor per frame
-# and holds one width x height x 3 panorama in memory
-MAX_FRAMES = 100_000  # 55 min at 30 fps
-MAX_WIDTH = 8192
-MAX_HEIGHT = 4096
 
 
 class ScenarioError(ValueError):
@@ -103,53 +107,36 @@ class ScenarioSpec:
 
 
 _ACTOR_KEYS = {f.name for f in fields(ActorSpec)}
-_RECOMMENDATION_KINDS = {"t": "int", "yaw_deg": "float", "pitch_deg": "float"}
-
-
-def _rows(data: dict, key: str) -> list:
-    rows = data.get(key, [])
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-        raise ScenarioError(f"{key} must be a list of JSON objects")
-    return rows
+_SCENARIO_SCALARS = ("seed", "duration_s", "fps", "width", "height")
 
 
 def parse_scenario(document: bytes | str) -> ScenarioSpec:
     """Read a scenario file; every malformed document raises ScenarioError.
 
-    Each field is type-checked with the config's scalar check: numbers
-    must be finite JSON numbers, integers where the field is an integer,
-    and strings JSON strings.
+    Each field is type-checked: numbers must be finite JSON numbers,
+    integers where the field is an integer, and strings JSON strings.
+    Actors reject unknown keys.  The caps are the track file's
+    (:data:`MAX_FRAMES`, :data:`MAX_WIDTH`, :data:`MAX_HEIGHT`).
     """
     try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+        data = _document.check(_document.load(document), "object", "scenario document")
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     try:
         actors = []
-        for i, a in enumerate(_rows(data, "actors")):
-            _check_keys(a, _ACTOR_KEYS, f"actors[{i}]")
-            actors.append(ActorSpec(**_fields(ActorSpec, a, f"actors[{i}].")))
-        recs = None
-        if "recommendations" in data:
-            recs = tuple(
-                Recommendation(
-                    *(_scalar(r[k], kind, f"recommendations[{i}].{k}")
-                      for k, kind in _RECOMMENDATION_KINDS.items())
-                )
-                for i, r in enumerate(_rows(data, "recommendations"))
-            )
-        scalars = {k: data[k] for k in ("seed", "width", "height") if k in data}
-        scalars = {"seed": 0, **scalars, "duration_s": data["duration_s"], "fps": data["fps"]}
+        for i, row in enumerate(_document.check(data.get("actors", []), "rows", "actors")):
+            where = f"actors[{i}]"
+            _document.keys(row, _ACTOR_KEYS, where)
+            actors.append(ActorSpec(**_document.fields(ActorSpec, row, where)))
+        scalars = {"seed": 0, **{k: data[k] for k in _SCENARIO_SCALARS if k in data}}
         return ScenarioSpec(
-            **_fields(ScenarioSpec, scalars, ""), actors=tuple(actors), recommendations=recs
+            **_document.fields(ScenarioSpec, scalars),
+            actors=tuple(actors),
+            recommendations=read_recommendations(data),
         )
-    except KeyError as exc:
-        raise ScenarioError(f"missing required scenario field {exc.args[0]!r}") from exc
-    except (TypeError, ConfigError) as exc:
+    except ScenarioError:
+        raise
+    except ValueError as exc:
         raise ScenarioError(f"malformed scenario field: {exc}") from exc
 
 
@@ -261,8 +248,5 @@ def scenario_to_document(spec: ScenarioSpec) -> str:
         ],
     }
     if spec.recommendations is not None:
-        data["recommendations"] = [
-            {"t": r.frame, "yaw_deg": r.yaw_deg, "pitch_deg": r.pitch_deg}
-            for r in spec.recommendations
-        ]
+        data["recommendations"] = recommendation_rows(spec.recommendations)
     return json.dumps(data, indent=2) + "\n"

@@ -8,7 +8,9 @@ The track file is JSON text::
      "recommendations": [{"t": 0, "yaw_deg": 15.0, "pitch_deg": 0.0}, ...]}
 
 Angles in the file are degrees; the in-memory API exposes radians.  A
-parsed Scene is immutable and can be shared freely across threads.
+Scene has at most :data:`MAX_FRAMES` frames of at most :data:`MAX_WIDTH`
+x :data:`MAX_HEIGHT` pixels.  A parsed Scene is immutable and can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -19,7 +21,15 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from . import _document
 from .geometry import Direction, EquirectBBox, validate_bbox
+
+
+# scene size caps, shared with scenario files: planning keeps state for
+# every frame and `synth` holds one width x height x 3 panorama in memory
+MAX_FRAMES = 100_000  # 55 min at 30 fps
+MAX_WIDTH = 8192
+MAX_HEIGHT = 4096
 
 
 class TrackFileError(ValueError):
@@ -90,6 +100,11 @@ class Scene:
             )
         if self.num_frames <= 0:
             raise TrackFileError(f"num_frames must be positive, got {self.num_frames}")
+        if self.num_frames > MAX_FRAMES or self.width > MAX_WIDTH or self.height > MAX_HEIGHT:
+            raise TrackFileError(
+                f"{self.num_frames} frames of {self.width}x{self.height} exceed the caps of "
+                f"{MAX_FRAMES} frames of {MAX_WIDTH}x{MAX_HEIGHT}"
+            )
         if self.width != 2 * self.height:
             warnings.warn(
                 f"source is {self.width}x{self.height}, not the 2:1 equirect ratio",
@@ -126,23 +141,29 @@ class Scene:
 # ---------------------------------------------------------------------------
 # parsing
 
-
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise TrackFileError(f"missing required field '{key}' in {context}")
-    return obj[key]
-
-
-def _as_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TrackFileError(f"field '{name}' must be a number, got {value!r}")
-    return float(value)
+_SCENE = {"fps": "float", "width": "int", "height": "int", "num_frames": "int", "objects": "rows"}
+_OBJECT = {"id": "str", "category": "str", "samples": "rows"}
+_SAMPLE = {"t": "int", "x": "float", "y": "float", "w": "float", "h": "float"}
+_RECOMMENDATION = {"t": "int", "yaw_deg": "float", "pitch_deg": "float"}
 
 
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TrackFileError(f"field '{name}' must be an integer, got {value!r}")
-    return value
+def read_recommendations(data: dict) -> tuple[Recommendation, ...] | None:
+    """The optional ``recommendations`` rows of a track or scenario
+    document; None when the key is absent.  Raises ValueError."""
+    if "recommendations" not in data:
+        return None
+    rows = _document.check(data["recommendations"], "rows", "recommendations")
+    return tuple(
+        Recommendation(*_document.required(row, _RECOMMENDATION, f"recommendations[{i}]"))
+        for i, row in enumerate(rows)
+    )
+
+
+def recommendation_rows(recommendations: tuple[Recommendation, ...]) -> list[dict]:
+    """The ``recommendations`` rows of a track or scenario document."""
+    return [
+        {"t": r.frame, "yaw_deg": r.yaw_deg, "pitch_deg": r.pitch_deg} for r in recommendations
+    ]
 
 
 def parse_scene(document: bytes | str) -> Scene:
@@ -150,75 +171,31 @@ def parse_scene(document: bytes | str) -> Scene:
 
     Every malformed input raises :class:`TrackFileError` (syntax errors
     report their position); no partially constructed Scene escapes.
+    Keys the format does not define are ignored.
     """
     try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise TrackFileError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise TrackFileError("top level of a track file must be a JSON object")
-
-    fps = _as_number(_require(data, "fps", "track file"), "fps")
-    width = _as_int(_require(data, "width", "track file"), "width")
-    height = _as_int(_require(data, "height", "track file"), "height")
-    num_frames = _as_int(_require(data, "num_frames", "track file"), "num_frames")
-
-    raw_objects = _require(data, "objects", "track file")
-    if not isinstance(raw_objects, list):
-        raise TrackFileError("field 'objects' must be a list")
-    objects = []
-    for i, raw in enumerate(raw_objects):
-        if not isinstance(raw, dict):
-            raise TrackFileError(f"objects[{i}] must be an object")
-        oid = _require(raw, "id", f"objects[{i}]")
-        if not isinstance(oid, str) or not oid:
-            raise TrackFileError(f"objects[{i}]: id must be a non-empty string")
-        category = _require(raw, "category", f"object '{oid}'")
-        if not isinstance(category, str):
-            raise TrackFileError(f"object '{oid}': category must be a string")
-        raw_samples = _require(raw, "samples", f"object '{oid}'")
-        if not isinstance(raw_samples, list):
-            raise TrackFileError(f"object '{oid}': samples must be a list")
-        samples = []
-        for j, s in enumerate(raw_samples):
-            if not isinstance(s, dict):
-                raise TrackFileError(f"object '{oid}' sample {j} must be an object")
-            ctx = f"object '{oid}' sample {j}"
-            t = _as_int(_require(s, "t", ctx), "t")
-            try:
-                box = EquirectBBox(
-                    _as_number(_require(s, "x", ctx), "x"),
-                    _as_number(_require(s, "y", ctx), "y"),
-                    _as_number(_require(s, "w", ctx), "w"),
-                    _as_number(_require(s, "h", ctx), "h"),
-                )
-            except ValueError as exc:
-                raise TrackFileError(f"{ctx}: {exc}") from exc
-            samples.append(TrackSample(t, box))
-        objects.append(ObjectTrack(oid, category, tuple(samples)))
-
-    recommendations = None
-    if "recommendations" in data:
-        raw_recs = data["recommendations"]
-        if not isinstance(raw_recs, list):
-            raise TrackFileError("field 'recommendations' must be a list")
-        recs = []
-        for i, r in enumerate(raw_recs):
-            if not isinstance(r, dict):
-                raise TrackFileError(f"recommendations[{i}] must be an object")
-            ctx = f"recommendations[{i}]"
-            recs.append(
-                Recommendation(
-                    _as_int(_require(r, "t", ctx), "t"),
-                    _as_number(_require(r, "yaw_deg", ctx), "yaw_deg"),
-                    _as_number(_require(r, "pitch_deg", ctx), "pitch_deg"),
-                )
-            )
-        recommendations = tuple(recs)
-
-    return Scene(fps, width, height, num_frames, tuple(objects), recommendations)
+        data = _document.check(_document.load(document), "object", "track file")
+        fps, width, height, num_frames, raw_objects = _document.required(data, _SCENE)
+        objects = []
+        for i, raw in enumerate(raw_objects):
+            where = f"objects[{i}]"
+            oid, category, raw_samples = _document.required(raw, _OBJECT, where)
+            if not oid:
+                raise TrackFileError(f"{where}.id must be a non-empty string")
+            samples = []
+            for j, row in enumerate(raw_samples):
+                at = f"{where}.samples[{j}]"
+                t, *box = _document.required(row, _SAMPLE, at)
+                try:
+                    samples.append(TrackSample(t, EquirectBBox(*box)))
+                except ValueError as exc:
+                    raise TrackFileError(f"{at}: {exc}") from exc
+            objects.append(ObjectTrack(oid, category, tuple(samples)))
+        return Scene(fps, width, height, num_frames, tuple(objects), read_recommendations(data))
+    except TrackFileError:
+        raise
+    except ValueError as exc:
+        raise TrackFileError(str(exc)) from exc
 
 
 def scene_to_document(scene: Scene) -> str:
@@ -244,10 +221,7 @@ def scene_to_document(scene: Scene) -> str:
         ],
     }
     if scene.recommendations is not None:
-        data["recommendations"] = [
-            {"t": r.frame, "yaw_deg": r.yaw_deg, "pitch_deg": r.pitch_deg}
-            for r in scene.recommendations
-        ]
+        data["recommendations"] = recommendation_rows(scene.recommendations)
     return json.dumps(data, indent=2) + "\n"
 
 

@@ -104,11 +104,23 @@ def test_missing_tracks_file_exits_2_and_names_path(workspace, capsys):
 
 
 def test_malformed_tracks_exits_2(workspace, capsys):
+    valid = {"fps": 30, "width": 200, "height": 100, "num_frames": 60, "objects": []}
+    nan_yaw = {"t": 0, "yaw_deg": float("nan"), "pitch_deg": 0.0}
+    documents = [
+        "{",
+        json.dumps(valid).replace('"fps": 30', '"fps": 1' + "0" * 400),
+        json.dumps({**valid, "recommendations": [nan_yaw]}),
+        json.dumps({**valid, "num_frames": 10**9}),
+    ]
     bad = workspace / "bad.json"
-    bad.write_text("{")
-    rc = main(["direct", "--tracks", str(bad), "--out", str(workspace / "p.json")])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    for document in documents:
+        bad.write_text(document)
+        rc = main(["direct", "--tracks", str(bad), "--out", str(workspace / "p.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+    assert not (workspace / "p.json").exists()
 
 
 def test_empty_camera_path_exits_2(workspace, capsys):

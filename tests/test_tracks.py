@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from autocam360.geometry import (
     bbox_center_direction,
 )
 from autocam360.tracks import (
+    MAX_FRAMES,
+    MAX_HEIGHT,
+    MAX_WIDTH,
     ObjectTrack,
     Recommendation,
     Scene,
@@ -248,17 +252,75 @@ def test_parse_is_total_over_malformed_text(text):
         assert scene.num_frames > 0
 
 
+# any JSON value, with the edge cases of the number rules
+_ANY = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 10**400, -(10**400), math.nan, math.inf, -math.inf, "", "30"])
+    | st.lists(st.integers(), max_size=2)
+)
+
+
+def _mostly(*likely):
+    """One of `likely` three times in four, any JSON value otherwise."""
+    return st.tuples(st.integers(0, 3), st.sampled_from(likely), _ANY).map(
+        lambda drawn: drawn[1] if drawn[0] else drawn[2]
+    )
+
+
+def _rows(**columns):
+    return st.lists(st.fixed_dictionaries(columns), max_size=3)
+
+
+# documents with the track file's shape, mostly valid, with values past
+# the caps and the number rules mixed in
+_TRACK_FILES = st.fixed_dictionaries(
+    {
+        "fps": _mostly(30, 29.97, 10**400),
+        "width": _mostly(200, MAX_WIDTH + 1, 10**400),
+        "height": _mostly(100, MAX_HEIGHT + 1),
+        "num_frames": _mostly(60, MAX_FRAMES + 1, 10**9),
+        "objects": _rows(
+            id=_mostly("a", "b", ""),
+            category=_mostly("human"),
+            samples=_rows(
+                t=_mostly(0, 5, 59), x=_mostly(10.0, -3.5, 199), y=_mostly(20, 0.0),
+                w=_mostly(30.0, 1e-300), h=_mostly(40, 80.0),
+            ),
+        ),
+    },
+    optional={
+        "recommendations": _rows(
+            t=_mostly(0, 3, 59),
+            yaw_deg=_mostly(15.0, -180, 1e308, math.nan, -math.inf),
+            pitch_deg=_mostly(0.0, -0.0, 90, -90),
+        )
+    },
+)
+
+
 @given(
     st.dictionaries(
         st.sampled_from(["fps", "width", "height", "num_frames", "objects"]),
         st.one_of(st.integers(-5, 100), st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2)),
     )
+    | _TRACK_FILES
 )
 def test_parse_is_total_over_malformed_documents(data):
+    # every document yields a TrackFileError or a scene within the caps
+    # whose recommendations give directions
     try:
-        parse_scene(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the 2:1 ratio warning
+            scene = parse_scene(json.dumps(data))
     except TrackFileError:
-        pass
+        return
+    assert 1 <= scene.num_frames <= MAX_FRAMES
+    assert 1 <= scene.width <= MAX_WIDTH and 1 <= scene.height <= MAX_HEIGHT
+    for rec in scene.recommendations or ():
+        assert math.isfinite(rec.direction.yaw)
 
 
 def test_recommendation_round_trip_is_exact():
