@@ -35,10 +35,11 @@ _MAX = sys.float_info.max
 
 
 def load(document: bytes | str):
-    """`document` parsed as JSON text.  Bytes are decoded as
-    :func:`json.loads` decodes them: UTF-8, or UTF-16 or UTF-32 where the
-    first bytes say so."""
+    """`document` parsed as JSON text.  Bytes must be UTF-8: UTF-16,
+    UTF-32 and a byte order mark are rejected, as they are in files."""
     try:
+        if not isinstance(document, str):
+            document = str(document, "utf-8")
         return json.loads(document)
     except json.JSONDecodeError as exc:
         raise ValueError(

@@ -6,10 +6,13 @@ path -> perspective frames), ``pipeline`` (direct then render), ``synth``
 
 Exit status: 0 on success, 1 on usage errors, 2 on data errors (with a
 single ``error: ...`` line on stderr).  Runs are pure functions of their
-inputs: no hidden state or caches, and the package reads no environment
-variable of its own.  NumPy picks its CPU code paths at import and
-honours ``NPY_DISABLE_CPU_FEATURES``; see :mod:`autocam360.renderer` for
-what that means for rendered bytes.
+inputs: nothing is kept from one run to the next, and the package reads
+no environment variable of its own.  Three things are picked at import:
+the kernel backend (``renderer.KERNEL_BACKEND``), the number of kernel
+range threads (``_resample.THREADS``, from the CPUs the process may run
+on) and NumPy's CPU dispatch, which honours ``NPY_DISABLE_CPU_FEATURES``.
+None of them changes the output bytes on one NumPy build and CPU class;
+see :mod:`autocam360.renderer`.
 """
 
 from __future__ import annotations
@@ -97,19 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str | Path, what: str) -> str:
+def _read(path: str | Path, what: str) -> bytes:
     p = Path(path)
     if not p.is_file():
         raise TrackFileError(f"{what} file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    return p.read_bytes()
 
 
 def _print_shot_table(output) -> None:
-    relaxed = {(r.start, r.end): r.relaxed for r in output.records}
     print(f"{'shot':>4}  {'type':<11} {'range':<16} {'score':>9}  targets")
-    for i, shot in enumerate(output.shots):
+    for i, (shot, record) in enumerate(zip(output.shots, output.records, strict=True)):
         targets = ",".join(shot.target_ids) or "-"
-        mark = " *" if relaxed.get((shot.start, shot.end)) else ""
+        mark = " *" if record.relaxed else ""
         print(
             f"{i:>4}  {shot.shot_type.value:<11} "
             f"[{shot.start:>6},{shot.end:>6}) {shot.score:>9.4f}  {targets}{mark}"
@@ -120,7 +122,7 @@ def _direct(args, path_file: Path, make_dir: bool = False) -> None:
     """Plan from ``--tracks`` and ``--config``, write the camera path to
     `path_file` (making its directory first if `make_dir`) and print the
     shot table."""
-    scene = parse_scene(_read_text(args.tracks, "tracks"))
+    scene = parse_scene(_read(args.tracks, "tracks"))
     cfg = load_config(args.config)
     output = direct(scene, cfg)
     if make_dir:
@@ -133,7 +135,7 @@ def _render(args, path_file: str | Path, out: str | Path) -> None:
     """Render ``--frames`` along the camera path in `path_file` into `out`
     at ``--size``."""
     out_w, out_h = args.size
-    document = _read_text(path_file, "camera path")
+    document = _read(path_file, "camera path")
     _fps, viewports, _shots = parse_camera_path(document, aspect=out_w / out_h)
     count = render_frames_dir(args.frames, out, viewports, out_w, out_h)
     print(f"rendered {count} frames to {out}")
@@ -158,7 +160,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = parse_scenario(_read_text(args.scenario, "scenario"))
+    spec = parse_scenario(_read(args.scenario, "scenario"))
     scene = synth_scene(spec)
     Path(args.out).write_text(scene_to_document(scene), encoding="utf-8")
     print(f"wrote {scene.num_frames}-frame scene with {len(scene.objects)} objects to {args.out}")

@@ -162,7 +162,7 @@ def load_config(source: str | Path | None) -> DirectorConfig:
     if source is None:
         return DirectorConfig()
     try:
-        data = _document.load(Path(source).read_text(encoding="utf-8"))
+        data = _document.load(Path(source).read_bytes())
     except ValueError as exc:
         raise ConfigError(f"config {exc}") from exc
     return config_from_dict(data)

@@ -58,7 +58,7 @@ class DirectorOutput:
     fps: float
     shots: tuple[ShotHypothesis, ...]
     camera_path: tuple[Viewport, ...]
-    records: tuple[ShotRecord, ...] = field(default=(), repr=False, compare=False)
+    records: tuple[ShotRecord, ...] = field(repr=False, compare=False)
 
 
 def segment_timeline(num_frames: int, fps: float, shot_length_s: float) -> list[tuple[int, int]]:
@@ -74,10 +74,8 @@ def segment_timeline(num_frames: int, fps: float, shot_length_s: float) -> list[
         raise ValueError("fps and shot_length_s must be positive")
     # min(): round() cannot take the infinite product of a huge shot length
     length = max(1, round(min(fps * shot_length_s, num_frames)))
-    full = num_frames // length
+    full = num_frames // length  # >= 1: length is at most num_frames
     remainder = num_frames % length
-    if full == 0:
-        return [(0, num_frames)]
     ranges = [(i * length, (i + 1) * length) for i in range(full)]
     if remainder:
         if remainder < length / 2:
@@ -99,33 +97,19 @@ class Eligibility(frozenset):
         return self
 
 
-def _excluded(
-    recent: tuple[ShotType, ...], cfg: DirectorConfig, window_rule: bool, no_repeat_rule: bool
-) -> set[ShotType]:
-    out: set[ShotType] = set()
-    if no_repeat_rule and cfg.no_repeat and recent:
-        out.add(recent[-1])
-    if window_rule:
-        window = recent[-cfg.occurrence_window :]
-        for t in ShotType:
-            if window.count(t) >= cfg.occurrence_cap:
-                out.add(t)
-    return out
-
-
-_RULE_STAGES = ((True, True), (False, True), (False, False))
-
-
 def _stages(recent: tuple[ShotType, ...], cfg: DirectorConfig) -> Iterator[Eligibility]:
-    """The allowed types at each relaxation stage, strictest first.
+    """The allowed types at each relaxation stage, strictest first: both
+    occurrence rules, then no-repeat alone, then none.
 
     A stage that allows nothing, or the same types as the stage before,
-    is skipped.  The last stage drops every rule and allows all types,
-    so at least one stage is always yielded.
+    is skipped.  The last stage allows all types, so at least one stage
+    is always yielded.
     """
+    window = recent[-cfg.occurrence_window :]
+    capped = {t for t in ShotType if window.count(t) >= cfg.occurrence_cap}
+    repeat = {recent[-1]} if cfg.no_repeat and recent else set()
     last = None
-    for i, (window_rule, no_repeat_rule) in enumerate(_RULE_STAGES):
-        excluded = _excluded(recent, cfg, window_rule, no_repeat_rule)
+    for i, excluded in enumerate((capped | repeat, repeat, set())):
         allowed = Eligibility((t for t in ShotType if t not in excluded), relaxed=i > 0)
         if allowed and allowed != last:
             yield allowed
@@ -230,8 +214,9 @@ def direct(scene: Scene, cfg: DirectorConfig | None = None) -> DirectorOutput:
 
 
 def output_to_document(out: DirectorOutput) -> str:
-    """Serialize director output to the camera-path JSON interchange form."""
-    relaxed = {(r.start, r.end): r.relaxed for r in out.records}
+    """Serialize director output to the camera-path JSON interchange form.
+
+    Shot rows pair each shot with its record by position."""
     data = {
         "fps": out.fps,
         "frames": [
@@ -249,9 +234,9 @@ def output_to_document(out: DirectorOutput) -> str:
                 "type": s.shot_type.value,
                 "score": s.score,
                 "targets": list(s.target_ids),
-                "relaxed": relaxed.get((s.start, s.end), False),
+                "relaxed": r.relaxed,
             }
-            for s in out.shots
+            for s, r in zip(out.shots, out.records, strict=True)
         ],
     }
     return json.dumps(data, indent=2) + "\n"

@@ -82,10 +82,6 @@ def saliency_table(
     }
 
 
-def _viewport(center: Direction, shot_type: ShotType, cfg: DirectorConfig) -> Viewport:
-    return Viewport(center, math.radians(cfg.fov_deg[shot_type]), cfg.aspect)
-
-
 def smooth_path(raw_centers, fps: float, cfg: DirectorConfig) -> list[Direction]:
     """Sphere-aware exponential smoothing with the config's velocity and
     pitch limits; see :func:`autocam360.geometry.smooth_directions`."""
@@ -123,19 +119,37 @@ def _held_centers(positions: Positions, oid: str) -> list[Direction]:
     return out
 
 
-def _generate_tracking(scene, frame_range, measures, sal, positions, cfg):
-    out = []
-    for oid in _ranked_targets(measures, sal, cfg)[:3]:
-        centers = smooth_path(_held_centers(positions, oid), scene.fps, cfg)
-        path = tuple(_viewport(c, ShotType.TRACKING, cfg) for c in centers)
-        out.append(
-            ShotHypothesis(ShotType.TRACKING, frame_range[0], frame_range[1], path, (oid,))
-        )
-    return out
-
-
-def _generate_static(scene, frame_range, measures, sal, cfg):
+def _shot(
+    shot_type: ShotType, frame_range: tuple[int, int], centers, cfg: DirectorConfig, targets=()
+) -> ShotHypothesis:
+    """A candidate of `shot_type` over `frame_range` looking along
+    `centers`: one Direction per frame, or one Direction held for the
+    whole range.  Every center's pitch is clamped to the config limit
+    and every viewport takes the type's FOV."""
     limit = math.radians(cfg.pitch_clamp_deg)
+    hfov = math.radians(cfg.fov_deg[shot_type])
+    start, end = frame_range
+    if isinstance(centers, Direction):
+        path = (Viewport(clamp_pitch(centers, limit), hfov, cfg.aspect),) * (end - start)
+    else:
+        path = tuple(Viewport(clamp_pitch(c, limit), hfov, cfg.aspect) for c in centers)
+    return ShotHypothesis(shot_type, start, end, path, targets)
+
+
+def _generate_tracking(scene, frame_range, measures, sal, positions, prev, cfg):
+    return [
+        _shot(
+            ShotType.TRACKING,
+            frame_range,
+            smooth_path(_held_centers(positions, oid), scene.fps, cfg),
+            cfg,
+            (oid,),
+        )
+        for oid in _ranked_targets(measures, sal, cfg)[:3]
+    ]
+
+
+def _generate_static(scene, frame_range, measures, sal, positions, prev, cfg):
     threshold = math.radians(cfg.cluster_threshold_deg)
     pool = _ranked_targets(measures, sal, cfg)
     out = []
@@ -152,33 +166,18 @@ def _generate_static(scene, frame_range, measures, sal, cfg):
             [measures[oid].mean_center for oid in members],
             weights=[sal[oid] for oid in members],
         )
-        vp = _viewport(clamp_pitch(center, limit), ShotType.STATIC, cfg)
-        n = frame_range[1] - frame_range[0]
-        out.append(
-            ShotHypothesis(
-                ShotType.STATIC,
-                frame_range[0],
-                frame_range[1],
-                (vp,) * n,
-                tuple(sorted(members)),
-            )
-        )
+        out.append(_shot(ShotType.STATIC, frame_range, center, cfg, tuple(sorted(members))))
     return out
 
 
-def _generate_medium(scene, frame_range, measures, sal, cfg):
-    limit = math.radians(cfg.pitch_clamp_deg)
-    n = frame_range[1] - frame_range[0]
-    out = []
-    for oid in _ranked_targets(measures, sal, cfg)[:3]:
-        vp = _viewport(clamp_pitch(measures[oid].mean_center, limit), ShotType.MEDIUM, cfg)
-        out.append(
-            ShotHypothesis(ShotType.MEDIUM, frame_range[0], frame_range[1], (vp,) * n, (oid,))
-        )
-    return out
+def _generate_medium(scene, frame_range, measures, sal, positions, prev, cfg):
+    return [
+        _shot(ShotType.MEDIUM, frame_range, measures[oid].mean_center, cfg, (oid,))
+        for oid in _ranked_targets(measures, sal, cfg)[:3]
+    ]
 
 
-def _generate_pan(scene, frame_range, measures, sal, prev, cfg):
+def _generate_pan(scene, frame_range, measures, sal, positions, prev, cfg):
     start_yaw = prev.path[-1].center.yaw if prev is not None else 0.0
     targets = _ranked_targets(measures, sal, cfg)
     weight_sum = sum(sal[oid] for oid in targets)
@@ -186,29 +185,31 @@ def _generate_pan(scene, frame_range, measures, sal, prev, cfg):
         pitch = sum(sal[oid] * measures[oid].mean_center.pitch for oid in targets) / weight_sum
     else:
         pitch = 0.0
+    # clamped before any Direction is built: a clamp in _shot would
+    # rebuild each Direction and wrap its yaw a second time
     limit = math.radians(cfg.pitch_clamp_deg)
     pitch = min(limit, max(-limit, pitch))
     sweep = math.radians(cfg.pan_sweep_deg)
     n = frame_range[1] - frame_range[0]
-    out = []
-    for sign in (1.0, -1.0):
-        if n == 1:
-            centers = [Direction(start_yaw, pitch)]
-        else:
-            centers = [
-                Direction(start_yaw + sign * sweep * i / (n - 1), pitch) for i in range(n)
-            ]
-        path = tuple(_viewport(c, ShotType.PAN, cfg) for c in centers)
-        out.append(ShotHypothesis(ShotType.PAN, frame_range[0], frame_range[1], path))
-    return out
+    # one frame sweeps nothing: it adds +-0.0 to the start yaw
+    return [
+        _shot(
+            ShotType.PAN,
+            frame_range,
+            [Direction(start_yaw + sign * sweep * i / max(1, n - 1), pitch) for i in range(n)],
+            cfg,
+        )
+        for sign in (1.0, -1.0)
+    ]
 
 
-def _generate_recommender(scene, frame_range, cfg):
+def _generate_recommender(scene, frame_range, measures, sal, positions, prev, cfg):
     """Follow the external recommendation track when it covers the range.
 
     A frame counts as covered when it lies within the annotated span;
     directions between annotations follow the great circle, and frames
-    outside the span hold the nearest endpoint.
+    outside the span hold the nearest endpoint.  The second candidate
+    holds the mean of those directions.
     """
     if not scene.recommendations:
         return []
@@ -237,16 +238,19 @@ def _generate_recommender(scene, frame_range, cfg):
             frac = (t - f1) / (f2 - f1)
             targets.append(rotate_toward(d1, d2, frac * angular_distance(d1, d2)))
 
-    smoothed = smooth_path(targets, scene.fps, cfg)
-    limit = math.radians(cfg.pitch_clamp_deg)
-    n = end - start
-    follow = tuple(_viewport(c, ShotType.RECOMMENDER, cfg) for c in smoothed)
-    overview_center = clamp_pitch(mean_direction(targets), limit)
-    overview = (_viewport(overview_center, ShotType.RECOMMENDER, cfg),) * n
     return [
-        ShotHypothesis(ShotType.RECOMMENDER, start, end, follow),
-        ShotHypothesis(ShotType.RECOMMENDER, start, end, overview),
+        _shot(ShotType.RECOMMENDER, frame_range, smooth_path(targets, scene.fps, cfg), cfg),
+        _shot(ShotType.RECOMMENDER, frame_range, mean_direction(targets), cfg),
     ]
+
+
+_GENERATORS = {
+    ShotType.TRACKING: _generate_tracking,
+    ShotType.STATIC: _generate_static,
+    ShotType.MEDIUM: _generate_medium,
+    ShotType.PAN: _generate_pan,
+    ShotType.RECOMMENDER: _generate_recommender,
+}
 
 
 def generate_hypotheses(
@@ -266,16 +270,7 @@ def generate_hypotheses(
     `prev` is the previously chosen shot, if any (used by the pan
     generator to anchor its sweep).
     """
-    if shot_type is ShotType.TRACKING:
-        out = _generate_tracking(scene, frame_range, measures, sal, positions, cfg)
-    elif shot_type is ShotType.STATIC:
-        out = _generate_static(scene, frame_range, measures, sal, cfg)
-    elif shot_type is ShotType.MEDIUM:
-        out = _generate_medium(scene, frame_range, measures, sal, cfg)
-    elif shot_type is ShotType.PAN:
-        out = _generate_pan(scene, frame_range, measures, sal, prev, cfg)
-    else:
-        out = _generate_recommender(scene, frame_range, cfg)
+    out = _GENERATORS[shot_type](scene, frame_range, measures, sal, positions, prev, cfg)
     return out[: cfg.max_hypotheses_per_type]
 
 

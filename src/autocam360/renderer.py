@@ -34,9 +34,9 @@ Sample coordinates depend only on the viewport and the frame sizes, so
 :func:`render_sequence` computes them once per run of frames that share
 a viewport.  They are computed in closed form from one vector of
 per-column and one of per-row terms; no ray grid is kept.  Yaw is the
-last term: it adds yaw·W/2π to every x.  They are evaluated in blocks of
-whole output rows (about ``BLOCK`` pixels), whose temporaries stay in
-cache.  Nothing is cached between calls.
+last term: it adds yaw·W/2π to every x.  They are evaluated in one pass
+over the output grid, in place in the two result arrays.  Nothing is
+cached between calls.
 
 Images are PPM "P6" (binary, maxval 255) end to end; video encode/decode
 is left to external tools.
@@ -192,11 +192,6 @@ def write_image(img: Image, dest: str | Path | None = None) -> bytes:
 # ---------------------------------------------------------------------------
 # rendering
 
-# output pixels per _sample_coords block, rounded down to whole output
-# rows: small enough that a block's float64 temporaries stay in cache
-BLOCK = 8192
-
-
 def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
     """Continuous equirect sample coordinates for every output pixel.
 
@@ -204,9 +199,9 @@ def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int)
     x and its row's y alone: pitch turns each row's (y, 1) into its
     ``up`` and ``fwd`` components, and yaw only shifts x, which is added
     last.  x lies in [-W/2, 3W/2); the kernel wraps it.  The expressions
-    are evaluated over blocks of whole rows (about BLOCK pixels), which
-    gives the same values element for element as evaluating them over
-    the whole grid at once, at a fraction of the memory traffic.
+    run in place over the two (H, W) output arrays, with no temporary
+    grid, and give the same values element for element as evaluating
+    them with NumPy's broadcasting over the whole grid.
     """
     half_w = math.tan(0.5 * vp.hfov)
     x = ((np.arange(out_w) + 0.5) / out_w - 0.5) * (2.0 * half_w)
@@ -220,22 +215,18 @@ def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int)
     y_scale = src_h / math.pi
     shift = vp.center.yaw * x_scale
     px, py = np.empty((2, out_h, out_w))
-    rows = max(1, BLOCK // out_w)
-    for lo in range(0, out_h, rows):
-        r = slice(lo, lo + rows)
-        bx, by = px[r], py[r]
-        np.arctan2(x, fwd[r], out=bx)
-        bx += math.pi
-        bx *= x_scale
-        bx += shift
-        np.add(xx, yy[r], out=by)
-        by += 1.0
-        np.sqrt(by, out=by)
-        np.divide(up[r], by, out=by)
-        np.clip(by, -1.0, 1.0, out=by)
-        np.arcsin(by, out=by)
-        np.subtract(0.5 * math.pi, by, out=by)
-        by *= y_scale
+    np.arctan2(x, fwd, out=px)
+    px += math.pi
+    px *= x_scale
+    px += shift
+    np.add(xx, yy, out=py)
+    py += 1.0
+    np.sqrt(py, out=py)
+    np.divide(up, py, out=py)
+    np.clip(py, -1.0, 1.0, out=py)
+    np.arcsin(py, out=py)
+    np.subtract(0.5 * math.pi, py, out=py)
+    py *= y_scale
     return px.ravel(), py.ravel()
 
 

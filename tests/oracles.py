@@ -92,9 +92,9 @@ def rotation_sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src
 
 
 def reference_sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
-    """The closed form of ``renderer._sample_coords`` evaluated over the
-    whole output grid at once: the unblocked form that it must equal
-    element for element."""
+    """The closed form of ``renderer._sample_coords`` evaluated over a
+    meshgrid of the whole output, with no in-place steps: the plain form
+    that it must equal element for element."""
     half_w = math.tan(0.5 * vp.hfov)
     x = ((np.arange(out_w) + 0.5) / out_w - 0.5) * (2.0 * half_w)
     y = (0.5 - (np.arange(out_h) + 0.5) / out_h) * (2.0 * half_w / vp.aspect)

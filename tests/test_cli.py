@@ -158,6 +158,24 @@ def test_render_truncated_source_exits_2(workspace, capsys):
     )
 
 
+def test_render_unwritable_output_frame_exits_2(workspace, capsys):
+    frames = workspace / "frames"
+    frames.mkdir()
+    img = Image(8, 4, np.zeros((4, 8, 3), dtype=np.uint8))
+    for t in range(2):
+        write_image(img, frames / f"frame_{t:06d}.ppm")
+    out_dir = workspace / "out"
+    (out_dir / "frame_000001.ppm").mkdir(parents=True)  # a directory, not a file
+    rc = main(["render", "--frames", str(frames), "--path", str(_two_frame_path(workspace)),
+               "--out", str(out_dir), "--size", "160x90"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: frame 1: ") and captured.err.count("\n") == 1
+    assert "frame_000001.ppm" in captured.err
+    assert "rendered" not in captured.out
+    assert (out_dir / "frame_000000.ppm").is_file()
+
+
 def test_malformed_camera_path_exits_2(workspace, capsys):
     frames = workspace / "frames"
     frames.mkdir()

@@ -136,6 +136,23 @@ def test_malformed_config_exits_2_with_one_error_line(tmp_path, capsys, text):
         '{"measures": {"history_len": 1001}}',
         '{"fov_deg": {"tracking": 5e-324}}',
         '{"fov_deg": {"recommender": 1e-323}}',
+        '{"aspect": 0}',
+        '{"max_hypotheses_per_type": 0}',
+        '{"jump_cut_penalty": -1}',
+        '{"occurrence_cap": 0, "occurrence_window": 0}',
+        '{"smoothing_alpha": 0}',
+        '{"smoothing_alpha": 1.5}',
+        '{"max_angular_velocity_deg_s": 0}',
+        '{"pitch_clamp_deg": 91}',
+        '{"pan_sweep_deg": 0}',
+        '{"cluster_threshold_deg": 0}',
+        '{"recommender_min_coverage": 1.5}',
+        '{"measures": {"visited_decay": 0}}',
+        '{"measures": {"min_presence": 2}}',
+        '{"measures": {"interp_gap_frames": 0}}',
+        '{"measures": {"size_ref_sr": 0}}',
+        '{"saliency": {"category_weights": {"human": 2}}}',
+        '{"saliency": {"category_weights": {"default": -1}}}',
     ],
 )
 def test_values_that_stop_planning_exit_2_with_one_error_line(tmp_path, capsys, text):

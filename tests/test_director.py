@@ -181,6 +181,12 @@ def test_empty_scene_two_shots_relax_to_pan_pan():
     assert out.records[1].relaxed is True  # no-repeat had to be dropped
 
 
+def test_one_frame_empty_scene_is_one_pan_at_yaw_0():
+    out = direct(Scene(30.0, W, H, 1, ()), CFG)
+    assert [(s.shot_type, s.start, s.end) for s in out.shots] == [(ShotType.PAN, 0, 1)]
+    assert out.camera_path[0].center == Direction(0.0, 0.0)
+
+
 def test_shot_ranges_partition_timeline():
     scene = make_scene([track_from_yaws("a", {t: 5.0 for t in range(100)})], num_frames=100)
     out = direct(scene, CFG)

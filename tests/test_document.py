@@ -42,3 +42,23 @@ def test_unreadable_input_raises_only_the_format_error(tmp_path, parser, documen
         parse(document, tmp_path)
     assert type(caught.value) is error
     assert "\n" not in str(caught.value)
+
+
+# the smallest document each parser accepts
+MINIMAL = {
+    "tracks": '{"fps": 30, "width": 360, "height": 180, "num_frames": 30, "objects": []}',
+    "scenario": '{"duration_s": 1, "fps": 10, "width": 64, "height": 32}',
+    "camera_path": '{"fps": 10, "frames": [{"yaw_deg": 0, "pitch_deg": 0, "hfov_deg": 75}]}',
+    "config": "{}",
+}
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32", "utf-32-be"])
+@pytest.mark.parametrize("parser", sorted(PARSERS))
+def test_only_utf8_bytes_parse(tmp_path, parser, encoding):
+    # the API reads bytes as the command line reads files: UTF-8 only
+    parse, error = PARSERS[parser]
+    parse(MINIMAL[parser].encode("utf-8"), tmp_path)
+    with pytest.raises(error) as caught:
+        parse(MINIMAL[parser].encode(encoding), tmp_path)
+    assert type(caught.value) is error

@@ -1,16 +1,26 @@
-"""Golden camera paths: `direct` on six fixed scenes must reproduce the
-committed `output_to_document` bytes exactly.
+"""Golden camera paths and planning traces: `direct` on seven fixed
+scenes must reproduce the committed `output_to_document` bytes and every
+candidate shot exactly.
 
 The fixtures in ``tests/golden/`` pin every frame's yaw, pitch and FOV
-and every shot's type, range, score, targets and relaxation flag, so a
-refactor of the planner that claims to keep behaviour can prove it.
-Rewrite them only for an intended behaviour change, with
-``python tests/test_golden_paths.py``.
+and every shot's type, range, score, targets and relaxation flag
+(``<scene>.json``), and, one line per shot, the eligible types, the
+relaxation flag, the chosen index and every scored candidate: its type,
+range, targets, raw score, penalty and score, and the SHA-256 of its
+per-frame (yaw, pitch, hfov) doubles (``<scene>.trace.jsonl``).  JSON
+floats round-trip exactly, so both compare exactly, and a refactor of
+the planner that claims to keep behaviour can prove it for the losing
+candidates too.  Rewrite them only for an intended behaviour change,
+with ``python tests/test_golden_paths.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import random
+import struct
 import sys
 from pathlib import Path
 
@@ -123,6 +133,23 @@ def _short_shots():
     return Scene(30.0, W, H, 180, objects), cfg
 
 
+def _steep():
+    # objects and recommendations beyond the 45-degree pitch clamp, north
+    # and south, so that every generator clamps some candidate's pitch
+    recs = (
+        Recommendation(0, -20.0, 70.0),
+        Recommendation(90, 40.0, 80.0),
+        Recommendation(150, 100.0, -60.0),
+        Recommendation(239, 160.0, -75.0),
+    )
+    objects = (
+        _track("north", range(240), lambda t: -40.0 + 0.3 * t, lambda t: 60.0),
+        _track("cap", range(0, 240, 2), lambda t: 30.0, lambda t: 72.0, category="kite"),
+        _track("south", range(90, 240), lambda t: 120.0 - 0.2 * t, lambda t: -65.0, "dog"),
+    )
+    return Scene(30.0, W, H, 240, objects, recs), DirectorConfig()
+
+
 SCENES = {
     "empty": _empty,
     "tie": _tie,
@@ -130,6 +157,7 @@ SCENES = {
     "recommendations": _recommendations,
     "crowd": _crowd,
     "short_shots": _short_shots,
+    "steep": _steep,
 }
 
 
@@ -138,10 +166,58 @@ def _document(name: str) -> str:
     return output_to_document(direct(scene, cfg))
 
 
+def _path_digest(path) -> str:
+    values = [v for vp in path for v in (vp.center.yaw, vp.center.pitch, vp.hfov)]
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+
+def _trace(name: str) -> list[dict]:
+    scene, cfg = SCENES[name]()
+    return [
+        {
+            "range": [r.start, r.end],
+            "eligible": [t.value for t in r.eligible],
+            "relaxed": r.relaxed,
+            "chosen": r.chosen_index,
+            "candidates": [
+                {
+                    "type": h.shot_type.value,
+                    "range": [h.start, h.end],
+                    "targets": list(h.target_ids),
+                    "raw_score": h.raw_score,
+                    "penalty": h.penalty,
+                    "score": h.score,
+                    "path_sha256": _path_digest(h.path),
+                }
+                for h in r.hypotheses
+            ],
+        }
+        for r in direct(scene, cfg).records
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_camera_path_matches_golden(name):
     want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert _document(name) == want
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_every_candidate_matches_golden_trace(name):
+    lines = (GOLDEN / f"{name}.trace.jsonl").read_text(encoding="utf-8").splitlines()
+    assert _trace(name) == [json.loads(line) for line in lines]
+
+
+def test_steep_scene_clamps_a_candidate_of_every_type():
+    scene, cfg = _steep()
+    limit = math.radians(cfg.pitch_clamp_deg)
+    clamped = {
+        h.shot_type
+        for r in direct(scene, cfg).records
+        for h in r.hypotheses
+        if any(abs(vp.center.pitch) == limit for vp in h.path)
+    }
+    assert clamped == set(ShotType)
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
@@ -158,4 +234,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(SCENES):
         (GOLDEN / f"{name}.json").write_text(_document(name), encoding="utf-8")
-        print(f"wrote {GOLDEN / name}.json", file=sys.stderr)
+        trace = "".join(json.dumps(line) + "\n" for line in _trace(name))
+        (GOLDEN / f"{name}.trace.jsonl").write_text(trace, encoding="utf-8")
+        print(f"wrote {GOLDEN / name}.json and .trace.jsonl", file=sys.stderr)

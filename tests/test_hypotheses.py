@@ -132,6 +132,23 @@ def test_pan_anchors_at_previous_end_and_sweeps_90():
         assert max(steps) - min(steps) < 1e-9
 
 
+def test_one_frame_pan_holds_the_previous_end_yaw():
+    # with one frame there is nothing to sweep: both directions start and
+    # end at the previous shot's last yaw
+    scene = empty_scene(31)
+    m = measures_for(scene, (30, 31))
+    prev_end = Direction(math.radians(50.0), 0.0)
+    prev = ShotHypothesis(
+        ShotType.TRACKING, 0, 30, (Viewport(prev_end, math.radians(75), 16 / 9),) * 30
+    )
+    hyps = generate(ShotType.PAN, scene, (30, 31), m, prev)
+    assert len(hyps) == 2
+    for h in hyps:
+        assert len(h.path) == 1
+        assert h.path[0].center == Direction(math.radians(50.0), 0.0)
+        assert h.path[0].hfov == math.radians(90.0)
+
+
 def test_recommender_follows_annotations():
     recs = tuple(Recommendation(t, 5.0 + 0.5 * t, 0.0) for t in range(30))
     scene = Scene(30.0, W, H, 30, (), recs)

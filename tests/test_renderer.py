@@ -727,6 +727,22 @@ def test_hooked_names_run_once_per_frame_on_the_calling_thread(monkeypatch, comp
     assert len(set(calls["ranges"])) > 1
 
 
+def test_render_sequence_sink_error_names_the_frame():
+    spec = ScenarioSpec(seed=1, duration_s=1.0, fps=4.0, width=128, height=64)
+    frames = [synth_panorama(spec, t) for t in range(4)]
+    vp = Viewport(Direction(0.0, 0.0), math.radians(75), VP_ASPECT)
+    delivered = []
+
+    def sink(i, img):
+        if i == 2:
+            raise OSError("disk full")
+        delivered.append(i)
+
+    with pytest.raises(RenderError, match=r"^frame 2: disk full$"):
+        render_sequence(frames, [vp] * 4, 64, 36, sink)
+    assert delivered == [0, 1]
+
+
 def test_render_frames_dir_missing_frame_reports_index(tmp_path):
     in_dir = tmp_path / "in"
     out_dir = tmp_path / "out"
@@ -740,7 +756,7 @@ def test_render_frames_dir_missing_frame_reports_index(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# blocked sample coordinates
+# sample coordinates
 
 # pitches that reach the poles and yaws on both sides of the seam
 _PITCHES = st.floats(-math.pi / 2, math.pi / 2) | st.sampled_from(
@@ -757,28 +773,24 @@ _YAWS = st.floats(-math.pi, math.pi) | st.sampled_from(
     pitch=_PITCHES,
     hfov=st.floats(0.01, 3.1),
     aspect=st.floats(0.3, 4.0),
-    block=st.sampled_from([1, 7, 64, 8192]),
     data=st.data(),
 )
-def test_blocked_sample_coords_equal_the_unblocked_reference(yaw, pitch, hfov, aspect, block, data):
-    # sizes are odd, smaller than a block and not multiples of 8; a block
-    # of one pixel keeps the grid small so the test stays quick
-    side = 40 if block == 1 else 200
-    out_w = data.draw(st.integers(1, side), label="out_w")
-    out_h = data.draw(st.integers(1, side), label="out_h")
+def test_blocked_sample_coords_equal_the_unblocked_reference(yaw, pitch, hfov, aspect, data):
+    # sizes are odd and not multiples of 8
+    out_w = data.draw(st.integers(1, 200), label="out_w")
+    out_h = data.draw(st.integers(1, 200), label="out_h")
     src_w = data.draw(st.integers(1, 8000), label="src_w")
     src_h = data.draw(st.integers(1, 4000), label="src_h")
-    _assert_blocked_equals_reference(
-        Viewport(Direction(yaw, pitch), hfov, aspect), out_w, out_h, src_w, src_h, block
-    )
+    vp = Viewport(Direction(yaw, pitch), hfov, aspect)
+    _assert_equals_reference(vp, out_w, out_h, src_w, src_h)
 
 
-@pytest.mark.parametrize("block", [7, 64, 8192])
+@pytest.mark.parametrize("src_h", [7, 64, 8192])
 @pytest.mark.parametrize("pitch_deg", [89.9, -90.0, 0.0])
-def test_blocked_sample_coords_at_a_rendered_size(pitch_deg, block):
-    # 640x360 from 3840x1920, facing the seam: many full blocks and a tail
+def test_blocked_sample_coords_at_a_rendered_size(pitch_deg, src_h):
+    # 640x360 facing the seam, from a 2:1 source from 7 to 8192 rows high
     vp = Viewport(Direction(math.pi, math.radians(pitch_deg)), math.radians(75), VP_ASPECT)
-    _assert_blocked_equals_reference(vp, 640, 360, 3840, 1920, block)
+    _assert_equals_reference(vp, 640, 360, 2 * src_h, src_h)
 
 
 @settings(deadline=None, max_examples=100)
@@ -810,10 +822,8 @@ def _units(px, py, src_w, src_h):
     return np.stack([cp * np.sin(yaw), np.sin(pitch), cp * np.cos(yaw)], axis=1)
 
 
-def _assert_blocked_equals_reference(vp, out_w, out_h, src_w, src_h, block):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(renderer, "BLOCK", block)
-        px, py = _sample_coords(vp, out_w, out_h, src_w, src_h)
+def _assert_equals_reference(vp, out_w, out_h, src_w, src_h):
+    px, py = _sample_coords(vp, out_w, out_h, src_w, src_h)
     want_x, want_y = reference_sample_coords(vp, out_w, out_h, src_w, src_h)
     assert np.array_equal(px, want_x)
     assert np.array_equal(py, want_y)

@@ -304,7 +304,12 @@ _TRACK_FILES = st.fixed_dictionaries(
 @given(
     st.dictionaries(
         st.sampled_from(["fps", "width", "height", "num_frames", "objects"]),
-        st.one_of(st.integers(-5, 100), st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2)),
+        st.one_of(
+            st.integers(-5, 100),
+            st.none(),
+            st.text(alphabet="0a é☃", max_size=3),  # any string is rejected by type
+            st.lists(st.integers(), max_size=2),
+        ),
     )
     | _TRACK_FILES
 )
