@@ -3,10 +3,12 @@ noise panorama must reproduce the committed bytes exactly.
 
 Each path is rendered at 64x36 through :func:`render_sequence` over one
 seeded 360x180 noise panorama, and all of its frames are hashed into one
-SHA-256.  The paths are the six golden camera paths in ``tests/golden/``
-and one hand-made path that crosses the seam, reaches pitch +-80 degrees
-and changes FOV every frame.  Noise makes every coordinate change show
-up in the bytes.  Rewrite ``tests/golden/frames.json`` only for an
+SHA-256.  The paths are the seven golden camera paths in ``tests/golden/``
+and two hand-made ones.  ``hand_made`` crosses the seam, reaches pitch
++-80 degrees and changes FOV every frame.  ``wobble`` is a hand-held
+camera: pitch changes every frame while the FOV holds for 6-frame shots,
+yaw crosses the seam, and one frame's aspect is 0.5% off the output's.
+Noise makes every coordinate change show up in the bytes.  Rewrite ``tests/golden/frames.json`` only for an
 intended change to the rendered bytes, with
 ``python tests/test_golden_frames.py``.
 """
@@ -53,14 +55,35 @@ def _hand_made_path() -> list[Viewport]:
     ]
 
 
+def _wobble_path() -> list[Viewport]:
+    # yaw drifts 174 -> 186 degrees across the seam with a shake; pitch
+    # shakes around a slow climb and never repeats; the FOV steps every
+    # 6 frames; frame 15 keeps its shot's FOV at an aspect 0.5% wider
+    n, shot_len = 30, 6
+    fovs = (65.0, 40.0, 90.0, 65.0, 110.0)
+    path = []
+    for k in range(n):
+        yaw = 174.0 + 0.4 * k + 1.5 * math.sin(0.9 * k)
+        pitch = -5.0 + 0.3 * k + 4.0 * math.sin(1.3 * k) + 1.5 * math.sin(3.1 * k)
+        aspect = OUT_W / OUT_H * (1.005 if k == 15 else 1.0)
+        center = Direction(math.radians(yaw), math.radians(pitch))
+        path.append(Viewport(center, math.radians(fovs[k // shot_len]), aspect))
+    return path
+
+
 def _path(name: str) -> list[Viewport]:
     if name == "hand_made":
         return _hand_made_path()
+    if name == "wobble":
+        return _wobble_path()
     document = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     return parse_camera_path(document, aspect=OUT_W / OUT_H)[1]
 
 
-PATHS = ["crowd", "empty", "hand_made", "occlusion", "recommendations", "short_shots", "tie"]
+PATHS = [
+    "crowd", "empty", "hand_made", "occlusion", "recommendations", "short_shots", "steep", "tie",
+    "wobble",
+]
 
 
 def _digest(name: str) -> str:
