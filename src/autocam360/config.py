@@ -158,11 +158,15 @@ def config_from_dict(data: dict) -> DirectorConfig:
 
 
 def load_config(source: str | Path | None) -> DirectorConfig:
-    """Load a config file; None gives the defaults."""
+    """Load a config file; None gives the defaults.  A path that is not
+    a file raises ConfigError."""
     if source is None:
         return DirectorConfig()
+    path = Path(source)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {source}")
     try:
-        data = _document.load(Path(source).read_bytes())
+        data = _document.load(path.read_bytes())
     except ValueError as exc:
         raise ConfigError(f"config {exc}") from exc
     return config_from_dict(data)

@@ -30,13 +30,17 @@ pixels are writable and writes never reach the file; pixels decoded
 from ``bytes`` are read-only views.  A source file truncated while it is
 being rendered ends the process with SIGBUS, as any mapped file does.
 
-Sample coordinates depend only on the viewport and the frame sizes, so
-:func:`render_sequence` computes them once per run of frames that share
-a viewport.  They are computed in closed form from one vector of
-per-column and one of per-row terms; no ray grid is kept.  Yaw is the
-last term: it adds yaw·W/2π to every x.  They are evaluated in one pass
-over the output grid, in place in the two result arrays.  Nothing is
-cached between calls.
+Sample coordinates depend only on the viewport and the frame sizes.
+They are computed in closed form from one vector of per-column and one
+of per-row terms, plus one grid of ray norms ``sqrt(x² + y² + 1)``.  Yaw
+is the last term: it adds yaw·W/2π to every x.  They are evaluated in
+one pass over the output grid, in place in the two result arrays.
+Within one :func:`render_sequence` call there are three levels of reuse:
+the coordinates while the viewport and source size hold, the norm grid
+while hfov and aspect hold, and the memory of one coordinate pair: the
+old pair is released before the new one is computed, so the allocator
+can reuse its blocks and at most one pair is alive.  Nothing is cached
+between calls.
 
 Images are PPM "P6" (binary, maxval 255) end to end; video encode/decode
 is left to external tools.
@@ -192,7 +196,15 @@ def write_image(img: Image, dest: str | Path | None = None) -> bytes:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int):
+def _ray_norm(x, y, out):
+    """sqrt(x² + y² + 1) for every (row y, column x) pair, into `out`."""
+    np.add(x * x, (y * y)[:, None], out=out)
+    out += 1.0
+    np.sqrt(out, out=out)
+    return out
+
+
+def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int, norms=None):
     """Continuous equirect sample coordinates for every output pixel.
 
     The camera never rolls, so a pixel's ray is built from its column's
@@ -202,6 +214,12 @@ def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int)
     run in place over the two (H, W) output arrays, with no temporary
     grid, and give the same values element for element as evaluating
     them with NumPy's broadcasting over the whole grid.
+
+    Only ``up`` and ``fwd`` depend on pitch.  The ray norm
+    ``sqrt(x² + y² + 1)`` depends on hfov, aspect and the output size
+    alone.  `norms`, a dict owned by one caller at one output size,
+    keeps the norm grid of the last ``(hfov, aspect)``, so the grid is
+    built only when they change; without it everything is fresh.
     """
     half_w = math.tan(0.5 * vp.hfov)
     x = ((np.arange(out_w) + 0.5) / out_w - 0.5) * (2.0 * half_w)
@@ -209,20 +227,22 @@ def _sample_coords(vp: Viewport, out_w: int, out_h: int, src_w: int, src_h: int)
     sp, cp = math.sin(vp.center.pitch), math.cos(vp.center.pitch)
     fwd = (cp - y * sp)[:, None]
     up = (y * cp + sp)[:, None]
-    xx = x * x
-    yy = (y * y)[:, None]
     x_scale = src_w / TWO_PI
     y_scale = src_h / math.pi
     shift = vp.center.yaw * x_scale
     px, py = np.empty((2, out_h, out_w))
+    if norms is None:
+        norm = _ray_norm(x, y, py)
+    else:
+        norm = norms.get((vp.hfov, vp.aspect))
+        if norm is None:
+            norms.clear()  # one grid at a time
+            norm = norms[vp.hfov, vp.aspect] = _ray_norm(x, y, np.empty((out_h, out_w)))
     np.arctan2(x, fwd, out=px)
     px += math.pi
     px *= x_scale
     px += shift
-    np.add(xx, yy, out=py)
-    py += 1.0
-    np.sqrt(py, out=py)
-    np.divide(up, py, out=py)
+    np.divide(up, norm, out=py)
     np.clip(py, -1.0, 1.0, out=py)
     np.arcsin(py, out=py)
     np.subtract(0.5 * math.pi, py, out=py)
@@ -263,13 +283,15 @@ def render_sequence(frames, camera_path, out_w: int, out_h: int, sink) -> int:
     length; per-frame read/write failures are reported with their index.
     Returns the number of frames written.  The output equals
     :func:`render_viewport` frame by frame: sample coordinates are reused,
-    not approximated, while the viewport and source size hold still.
+    not approximated, while the viewport and source size hold still, and
+    the ray-norm grid while hfov and aspect do.
     """
     if len(frames) != len(camera_path):
         raise RenderError(
             f"frame count {len(frames)} does not match path length {len(camera_path)}"
         )
     key = coords = None
+    norms = {}
     for i, source in enumerate(frames):
         if isinstance(source, Image):
             img = source
@@ -281,7 +303,12 @@ def render_sequence(frames, camera_path, out_w: int, out_h: int, sink) -> int:
         vp = camera_path[i]
         if (vp, img.width, img.height) != key:
             _check_output_size(vp, out_w, out_h)
-            coords = _sample_coords(vp, out_w, out_h, img.width, img.height)
+            # Release the old pair first, so at most one pair is alive.  A
+            # pair kept for the call and overwritten in place was slower:
+            # with no large block ever freed, glibc trimmed the heap after
+            # every frame, and each encoded frame faulted in all its pages.
+            coords = None
+            coords = _sample_coords(vp, out_w, out_h, img.width, img.height, norms)
             key = (vp, img.width, img.height)
         out = _sample_image(img, coords, out_w, out_h)
         try:

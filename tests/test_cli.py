@@ -103,6 +103,18 @@ def test_missing_tracks_file_exits_2_and_names_path(workspace, capsys):
     assert err.count("\n") == 1  # single line
 
 
+@pytest.mark.parametrize("config", ["nope.json", "."])
+def test_config_that_is_not_a_file_exits_2_and_names_path(workspace, capsys, config):
+    tracks = workspace / "tracks.json"
+    tracks.write_text('{"fps": 30, "width": 360, "height": 180, "num_frames": 30, "objects": []}')
+    config = workspace / config  # a missing file, then a directory
+    rc = main(["direct", "--tracks", str(tracks), "--config", str(config),
+               "--out", str(workspace / "p.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: config file not found: {config}\n"
+    assert not (workspace / "p.json").exists()
+
+
 def test_malformed_tracks_exits_2(workspace, capsys):
     valid = {"fps": 30, "width": 200, "height": 100, "num_frames": 60, "objects": []}
     nan_yaw = {"t": 0, "yaw_deg": float("nan"), "pitch_deg": 0.0}

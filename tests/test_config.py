@@ -90,6 +90,12 @@ def test_invalid_values_rejected():
         load_config_path_with_text("{bad json")
 
 
+def test_load_config_of_a_missing_file_or_a_directory_raises_config_error(tmp_path):
+    for source in (tmp_path / "nope.json", tmp_path):
+        with pytest.raises(ConfigError, match=r"^config file not found: "):
+            load_config(source)
+
+
 def load_config_path_with_text(text: str):
     import tempfile
     from pathlib import Path

@@ -665,32 +665,85 @@ def test_render_sequence_static_path_identical_outputs():
 
 
 def test_render_sequence_reuses_coordinates_only_while_the_viewport_holds(monkeypatch):
-    spec = ScenarioSpec(seed=2, duration_s=1.0, fps=9.0, width=128, height=64)
-    frames = [synth_panorama(spec, t) for t in range(9)]
+    spec = ScenarioSpec(seed=2, duration_s=1.0, fps=11.0, width=128, height=64)
+    frames = [synth_panorama(spec, t) for t in range(11)]
     larger = ScenarioSpec(seed=2, duration_s=1.0, fps=1.0, width=256, height=128)
-    frames[8] = synth_panorama(larger, 0)
+    frames[10] = synth_panorama(larger, 0)
     hfov = math.radians(75)
     a = Viewport(Direction(1.0, 0.1), hfov, VP_ASPECT)
     yawed = Viewport(Direction(1.3, 0.1), hfov, VP_ASPECT)
     pitched = Viewport(Direction(1.3, -0.2), hfov, VP_ASPECT)
-    zoomed = Viewport(Direction(1.3, -0.2), math.radians(60), VP_ASPECT)
-    path = [a, a, yawed, yawed, pitched, zoomed, a, a, a]  # last frame: new source size
+    lowered = Viewport(Direction(1.3, -0.3), hfov, VP_ASPECT)
+    zoomed = Viewport(Direction(1.3, -0.3), math.radians(60), VP_ASPECT)
+    wider = Viewport(Direction(1.0, 0.1), hfov, 1.005 * VP_ASPECT)
+    # last frame: new source size
+    path = [a, a, yawed, yawed, pitched, lowered, zoomed, a, wider, a, a]
 
-    calls = []
-    real = renderer._sample_coords
+    calls, norm_builds = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(renderer, "_sample_coords", counting)
+        return wrapper
+
+    monkeypatch.setattr(renderer, "_sample_coords", counting(calls, renderer._sample_coords))
+    monkeypatch.setattr(renderer, "_ray_norm", counting(norm_builds, renderer._ray_norm))
     outs = {}
     render_sequence(frames, path, 64, 36, lambda i, img: outs.__setitem__(i, encode_ppm(img)))
     monkeypatch.undo()
 
-    assert len(calls) == 6
+    assert len(calls) == 9
+    # one norm grid per run of equal (hfov, aspect): a..lowered, zoomed, a, wider, a a
+    assert len(norm_builds) == 5
     for i, (frame, vp) in enumerate(zip(frames, path)):
         assert outs[i] == encode_ppm(render_viewport(frame, vp, 64, 36)), i
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_render_sequence_samples_every_frame_at_its_own_coordinates(data):
+    # the kernel must see each frame's own coordinates: a stale norm grid
+    # or coordinates overwritten before their frame is sampled show here
+    out_w = data.draw(st.integers(1, 40), label="out_w")
+    out_h = data.draw(st.integers(1, 40), label="out_h")
+    src_w = data.draw(st.integers(1, 64), label="src_w")
+    src_h = data.draw(st.integers(1, 32), label="src_h")
+    hfovs = data.draw(st.lists(st.floats(0.01, 3.1), min_size=1, max_size=2), label="hfovs")
+    count = data.draw(st.integers(2, 4), label="count")
+    path = []
+    for _ in range(count):
+        hfov = data.draw(st.sampled_from(hfovs))
+        stretch = data.draw(st.sampled_from([1.0, 1.0, 1.005]))
+        center = Direction(data.draw(_YAWS), data.draw(_PITCHES))
+        path.append(Viewport(center, hfov, stretch * out_w / out_h))
+    src = flat_image(src_w, src_h, (1, 2, 3))
+    seen = []
+
+    class Recording:
+        @staticmethod
+        def bilinear_wrap_sample(pixels, xs, ys):
+            seen.append((xs.copy(), ys.copy()))
+            return np.zeros((xs.shape[0], 3), np.uint8)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renderer, "_kernel", Recording)
+        render_sequence([src] * count, path, out_w, out_h, lambda i, img: None)
+
+    assert len(seen) == count
+    for (xs, ys), vp in zip(seen, path):
+        want_x, want_y = reference_sample_coords(vp, out_w, out_h, src_w, src_h)
+        assert np.array_equal(xs, want_x)
+        assert np.array_equal(ys, want_y)
+
+
+@pytest.mark.parametrize("out_w", [0, -1])
+def test_render_sequence_rejects_a_non_positive_output_size(out_w):
+    vp = Viewport(Direction(0.0, 0.0), math.radians(75), VP_ASPECT)
+    frame = flat_image(128, 64, (9, 9, 9))
+    with pytest.raises(ValueError, match="output dimensions must be positive"):
+        render_sequence([frame], [vp], out_w, 36, lambda i, img: None)
 
 
 def test_hooked_names_run_once_per_frame_on_the_calling_thread(monkeypatch, compiled_kernel):
